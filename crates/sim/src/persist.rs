@@ -19,7 +19,8 @@ use cwsp_ir::types::{DynRegionId, RegionId, Word};
 use std::collections::VecDeque;
 
 /// One persist-buffer entry (Figure 9's PB fields plus a host-side sequence
-/// number used for in-order deallocation).
+/// number used for in-order deallocation). Whether it has been sent down the
+/// persist path follows from its position: see [`PersistBuffer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PbEntry {
     /// Host-side sequence number (monotonic per core).
@@ -32,16 +33,21 @@ pub struct PbEntry {
     pub data: Word,
     /// Whether the store is speculative and must be undo-logged at the MC.
     pub log_bit: bool,
-    /// Whether the entry has been sent down the persist path.
-    pub sent: bool,
 }
 
 /// The per-core persist buffer.
+///
+/// The persist path is a FIFO and its acks arrive in order, so the entries
+/// already sent always form a prefix of the buffer: a count of them replaces
+/// a per-entry flag, and sending, completing and finding the next entry to
+/// send are all O(1).
 #[derive(Debug, Clone, Default)]
 pub struct PersistBuffer {
     cap: usize,
     entries: VecDeque<PbEntry>,
     next_seq: u64,
+    /// The first `sent` entries are on the persist path.
+    sent: usize,
 }
 
 impl PersistBuffer {
@@ -51,6 +57,7 @@ impl PersistBuffer {
             cap,
             entries: VecDeque::new(),
             next_seq: 0,
+            sent: 0,
         }
     }
 
@@ -84,14 +91,19 @@ impl PersistBuffer {
             addr,
             data,
             log_bit,
-            sent: false,
         });
         seq
     }
 
     /// The oldest unsent entry, if any (the persist path sends in order).
-    pub fn next_unsent(&mut self) -> Option<&mut PbEntry> {
-        self.entries.iter_mut().find(|e| !e.sent)
+    pub fn next_unsent(&self) -> Option<&PbEntry> {
+        self.entries.get(self.sent)
+    }
+
+    /// Record that [`PersistBuffer::next_unsent`] went down the path.
+    pub fn mark_sent(&mut self) {
+        debug_assert!(self.sent < self.entries.len(), "nothing left to send");
+        self.sent += 1;
     }
 
     /// Deallocate `seq` (its data reached the WPQ). Acks arrive in FIFO order
@@ -100,6 +112,7 @@ impl PersistBuffer {
     pub fn complete(&mut self, seq: u64) {
         while self.entries.front().is_some_and(|head| head.seq <= seq) {
             self.entries.pop_front();
+            self.sent = self.sent.saturating_sub(1);
         }
     }
 
@@ -111,14 +124,17 @@ impl PersistBuffer {
 
     /// Whether any entry still awaits its persist-path send.
     pub fn has_unsent(&self) -> bool {
-        self.entries.iter().any(|e| !e.sent)
+        self.sent < self.entries.len()
     }
 
-    /// Every live entry in issue order — the persist-buffer slice of the
-    /// crash forensics frontier (sent entries are on the wire; unsent ones
-    /// never left the core).
-    pub fn entries(&self) -> impl Iterator<Item = &PbEntry> {
-        self.entries.iter()
+    /// Every live entry in issue order with whether it was sent — the
+    /// persist-buffer slice of the crash forensics frontier (sent entries are
+    /// on the wire; unsent ones never left the core).
+    pub fn entries(&self) -> impl Iterator<Item = (&PbEntry, bool)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e, i < self.sent))
     }
 }
 
@@ -426,15 +442,53 @@ mod tests {
         assert!(!pb.has_space());
         assert_eq!(pb.occupancy(), 2);
         // send in order
-        let e = pb.next_unsent().unwrap();
-        assert_eq!(e.seq, s0);
-        e.sent = true;
+        assert_eq!(pb.next_unsent().unwrap().seq, s0);
+        pb.mark_sent();
         assert_eq!(pb.next_unsent().unwrap().seq, s1);
         // completion frees head entries in order
         pb.complete(s0);
         assert_eq!(pb.occupancy(), 1);
         pb.complete(s1);
         assert!(pb.is_empty());
+    }
+
+    #[test]
+    fn pb_sent_entries_stay_a_prefix() {
+        // Reference model: a per-entry sent flag, set on the oldest unsent
+        // entry at each send. A fixed pseudo-random mix of push, send and
+        // in-order ack must leave the buffer's derived flags equal to it.
+        let mut pb = PersistBuffer::new(6);
+        let mut model: VecDeque<(u64, bool)> = VecDeque::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..2000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 3 {
+                0 if pb.has_space() => {
+                    let seq = pb.push(DynRegionId(step), step * 8, step, false);
+                    model.push_back((seq, false));
+                }
+                1 => match pb.next_unsent() {
+                    Some(e) => {
+                        let m = model.iter_mut().find(|m| !m.1).unwrap();
+                        assert_eq!(e.seq, m.0);
+                        m.1 = true;
+                        pb.mark_sent();
+                    }
+                    None => assert!(model.iter().all(|m| m.1)),
+                },
+                _ => {
+                    if let Some(&(seq, true)) = model.front() {
+                        pb.complete(seq);
+                        model.pop_front();
+                    }
+                }
+            }
+            let got: Vec<(u64, bool)> = pb.entries().map(|(e, sent)| (e.seq, sent)).collect();
+            assert_eq!(got, Vec::from(model.clone()), "step {step}");
+            assert_eq!(pb.has_unsent(), model.iter().any(|m| !m.1));
+        }
     }
 
     #[test]
