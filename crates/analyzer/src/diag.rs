@@ -8,6 +8,7 @@
 //! *why* (a concrete [`PathWitness`] through the CFG that exhibits the
 //! violation). "Static-clean" means: no error-severity diagnostics.
 
+use cwsp_obs::json::{obj, Value};
 use std::fmt;
 
 /// Version of the JSON diagnostics document emitted by [`Report::to_json`]
@@ -329,94 +330,58 @@ impl Report {
         s
     }
 
-    /// Render the report as JSON (hand-rolled; the analyzer has no external
-    /// dependencies and must not depend on downstream crates).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"module\":{},\"summary\":{{\"errors\":{},\"warnings\":{},\"infos\":{},\
-             \"functions\":{},\"regions_total\":{},\"regions_proven\":{},\"analysis_ns\":{}}},\
-             \"diagnostics\":[",
-            json_str(&self.module),
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info),
-            self.counters.functions,
-            self.counters.regions_total,
-            self.counters.regions_proven,
-            self.counters.analysis_ns,
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"severity\":\"{}\",\"invariant\":\"{}\",\"code\":{},\"function\":{},\
-                 \"block\":{},",
-                d.severity,
-                d.invariant,
-                json_str(d.code),
-                json_str(&d.location.function),
-                d.location.block,
-            );
-            match d.location.inst {
-                Some(idx) => {
-                    let _ = write!(s, "\"inst\":{idx},");
-                }
-                None => s.push_str("\"inst\":null,"),
-            }
-            match d.region {
-                Some(r) => {
-                    let _ = write!(s, "\"region\":{r},");
-                }
-                None => s.push_str("\"region\":null,"),
-            }
-            let _ = write!(s, "\"message\":{}", json_str(&d.message));
+    /// The report as a JSON object (one entry of the `cwsp-lint`
+    /// document's `reports` array).
+    pub fn to_value(&self) -> Value {
+        let summary = obj([
+            ("errors", self.count(Severity::Error).into()),
+            ("warnings", self.count(Severity::Warning).into()),
+            ("infos", self.count(Severity::Info).into()),
+            ("functions", self.counters.functions.into()),
+            ("regions_total", self.counters.regions_total.into()),
+            ("regions_proven", self.counters.regions_proven.into()),
+            ("analysis_ns", self.counters.analysis_ns.into()),
+        ]);
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            let mut fields = vec![
+                ("severity", d.severity.to_string().into()),
+                ("invariant", d.invariant.to_string().into()),
+                ("code", d.code.into()),
+                ("function", d.location.function.as_str().into()),
+                ("block", d.location.block.into()),
+                ("inst", d.location.inst.into()),
+                ("region", d.region.into()),
+                ("message", d.message.as_str().into()),
+            ];
             if let Some(w) = &d.witness {
-                let _ = write!(s, ",\"witness\":{{\"omitted\":{},\"steps\":[", w.omitted);
-                for (j, step) in w.steps.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(
-                        s,
-                        "{{\"block\":{},\"idx\":{},\"note\":{}}}",
-                        step.block,
-                        step.idx,
-                        json_str(&step.note)
-                    );
-                }
-                s.push_str("]}");
+                let steps = w.steps.iter().map(|step| {
+                    obj([
+                        ("block", step.block.into()),
+                        ("idx", step.idx.into()),
+                        ("note", step.note.as_str().into()),
+                    ])
+                });
+                fields.push((
+                    "witness",
+                    obj([
+                        ("omitted", w.omitted.into()),
+                        ("steps", Value::Arr(steps.collect())),
+                    ]),
+                ));
             }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+            obj(fields)
+        });
+        obj([
+            ("module", self.module.as_str().into()),
+            ("summary", summary),
+            ("diagnostics", Value::Arr(diagnostics.collect())),
+        ])
     }
-}
 
-/// Escape a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+    /// Render the report as pretty JSON.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_pretty()
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -552,17 +517,12 @@ mod tests {
         let mut d = sample_diag(Severity::Error);
         d.message = "line1\nline2".into();
         r.diagnostics.push(d);
-        let j = r.to_json();
-        assert!(j.contains("\"module\":\"de\\\"mo\""), "{j}");
-        assert!(j.contains("\\n"), "{j}");
-        assert!(j.contains("\"witness\""), "{j}");
-        // Balanced braces/brackets (cheap structural sanity).
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "balanced braces: {j}"
-        );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let j = cwsp_obs::json::parse(&r.to_json()).unwrap();
+        assert_eq!(j.get("module").unwrap().as_str(), Some("de\"mo"));
+        let d = &j.get("diagnostics").unwrap().as_arr().unwrap()[0];
+        assert_eq!(d.get("message").unwrap().as_str(), Some("line1\nline2"));
+        assert_eq!(d.get("severity").unwrap().as_str(), Some("error"));
+        assert!(d.get("witness").is_some(), "{j:?}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! survives the process.
 
 use cwsp_bench::forensics::{investigate, investigation_json, sweep, sweep_json, system_for};
-use cwsp_bench::json::Value;
+use cwsp_obs::json::Value;
 use std::cell::Cell;
 
 const USAGE: &str = "\

@@ -16,11 +16,11 @@ use cwsp_analyzer::{
     AnalysisCache, AnalyzeOptions, PersistCounters, RaceStats, Report, Severity, SCHEMA_VERSION,
 };
 use cwsp_bench::engine;
-use cwsp_bench::json::Value;
 use cwsp_compiler::pipeline::{CompileOptions, Compiled};
 use cwsp_compiler::slice::SliceTable;
 use cwsp_core::genprog;
 use cwsp_ir::module::Module;
+use cwsp_obs::json::{obj, Value};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -381,25 +381,29 @@ fn main() -> ExitCode {
     );
 
     if let Some(dest) = &opts.json {
-        let mut doc = format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"tool\":\"cwsp-lint {}\",",
-            env!("CARGO_PKG_VERSION")
-        );
+        let mut doc = vec![
+            ("schema_version", SCHEMA_VERSION.into()),
+            (
+                "tool",
+                format!("cwsp-lint {}", env!("CARGO_PKG_VERSION")).into(),
+            ),
+        ];
         if let Some(c) = &cache {
             let st = c.stats();
-            doc.push_str(&format!(
-                "\"incremental\":{{\"hits\":{},\"misses\":{},\"invalidations\":{}}},",
-                st.hits, st.misses, st.invalidations
+            doc.push((
+                "incremental",
+                obj([
+                    ("hits", st.hits.into()),
+                    ("misses", st.misses.into()),
+                    ("invalidations", st.invalidations.into()),
+                ]),
             ));
         }
-        doc.push_str("\"reports\":[");
-        for (i, r) in reports.iter().enumerate() {
-            if i > 0 {
-                doc.push(',');
-            }
-            doc.push_str(&r.to_json());
-        }
-        doc.push_str("]}");
+        doc.push((
+            "reports",
+            Value::Arr(reports.iter().map(Report::to_value).collect()),
+        ));
+        let doc = obj(doc).to_pretty();
         match dest {
             Some(path) => {
                 if let Some(dir) = std::path::Path::new(path).parent() {
@@ -410,7 +414,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             }
-            None => println!("{doc}"),
+            None => print!("{doc}"),
         }
     }
 

@@ -16,25 +16,23 @@
 //!   path. Baselines and compiled modules are computed once per process no
 //!   matter how many figures ask for them.
 //! * **On-disk store** — results persist under `results/cache/` (override
-//!   with `CWSP_CACHE_DIR`, disable with `CWSP_CACHE=0`). The default
-//!   backend is the **LSM result spine** ([`cwsp_store::spine`]): results
-//!   commit as immutable sorted batches with a manifest, merged levels, and
-//!   time-travel lookups; `CWSP_STORE=flat` selects the legacy per-key JSON
-//!   files. Existing flat entries are migrated into the spine once, as
-//!   history. Keys include [`crate::fingerprint::CACHE_VERSION`]; bump it
-//!   when simulator semantics change.
+//!   with `CWSP_CACHE_DIR`, disable with `CWSP_CACHE=0`) in the **LSM result
+//!   spine** ([`cwsp_store::spine`]): results commit as immutable sorted
+//!   batches with a manifest, merged levels, and time-travel lookups. Keys
+//!   include [`crate::fingerprint::CACHE_VERSION`]; bump it when simulator
+//!   semantics change.
 //! * **Harness report** — [`harness_main`] wraps a figure binary's body,
 //!   timing it and merging a per-figure entry (wall-clock, jobs, hit rate)
-//!   into `results/BENCH_harness.json` — and, on the spine backend, also
-//!   committing the entry to the spine so the whole perf trajectory stays
-//!   queryable as of any run.
+//!   into `results/BENCH_harness.json` — and, when the disk store is on,
+//!   also committing the entry to the spine so the whole perf trajectory
+//!   stays queryable as of any run.
 
 use crate::fingerprint::{machine_fp, module_fp, options_fp};
-use crate::json::{self, Value};
 use cwsp_compiler::pipeline::{CompileOptions, Compiled, CwspCompiler};
+use cwsp_ir::fxhash::FxHasher;
 use cwsp_ir::module::Module;
+use cwsp_obs::json::{self, Value};
 use cwsp_sim::config::SimConfig;
-use cwsp_sim::hash::FxHasher;
 use cwsp_sim::scheme::Scheme;
 use cwsp_sim::stats::SimStats;
 use cwsp_store::spine::{Key, Spine};
@@ -77,14 +75,6 @@ impl Counters {
     }
 }
 
-/// Persistent result storage behind the in-process memo.
-enum DiskBackend {
-    /// Legacy per-key JSON files (`CWSP_STORE=flat`).
-    Flat(PathBuf),
-    /// LSM result spine: immutable sorted batches + manifest + merging.
-    Spine(Mutex<Spine>),
-}
-
 /// Stable hash for spine figure keys (FxHash over the name bytes; process-
 /// independent like the fingerprints).
 fn name_hash(s: &str) -> u64 {
@@ -98,7 +88,8 @@ fn name_hash(s: &str) -> u64 {
 pub struct Engine {
     stats_memo: Vec<Mutex<HashMap<(u64, u64), StatsSlot>>>,
     compile_memo: Vec<Mutex<HashMap<(u64, u64), CompileSlot>>>,
-    disk: Option<DiskBackend>,
+    /// The on-disk result spine behind the memo (`None` = memory only).
+    spine: Option<Mutex<Spine>>,
     jobs: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -111,29 +102,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with an explicit **flat** disk-cache directory (`None` =
-    /// memory only). The flat backend is also reachable process-wide via
-    /// `CWSP_STORE=flat`.
-    pub fn new(disk: Option<PathBuf>) -> Self {
-        Engine::with_backend(disk.map(DiskBackend::Flat))
-    }
-
-    /// An engine persisting results to the LSM spine at `dir`. Migrates any
-    /// legacy flat JSON entries in `dir` into the spine once (as history).
-    /// Falls back to memory-only if the spine directory cannot be opened.
-    pub fn with_spine(dir: PathBuf) -> Self {
-        let backend = Spine::open(&dir).ok().map(|mut spine| {
-            migrate_flat_cache(&dir, &mut spine);
-            DiskBackend::Spine(Mutex::new(spine))
-        });
-        Engine::with_backend(backend)
-    }
-
-    fn with_backend(disk: Option<DiskBackend>) -> Self {
+    /// A memory-only engine.
+    pub fn new() -> Self {
         Engine {
             stats_memo: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             compile_memo: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            disk,
+            spine: None,
             jobs: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -143,15 +117,24 @@ impl Engine {
         }
     }
 
-    /// Whether results persist to the LSM spine (vs. flat files or nothing).
-    pub fn uses_spine(&self) -> bool {
-        matches!(self.disk, Some(DiskBackend::Spine(_)))
+    /// An engine persisting results to the LSM spine at `dir`. Falls back
+    /// to memory-only if the spine directory cannot be opened.
+    pub fn with_spine(dir: PathBuf) -> Self {
+        Engine {
+            spine: Spine::open(dir).ok().map(Mutex::new),
+            ..Engine::new()
+        }
     }
 
-    /// Commit a figure's harness entry to the spine (no-op on other
-    /// backends), keyed by figure name — the queryable perf trajectory.
+    /// Whether results persist to the LSM spine.
+    pub fn uses_spine(&self) -> bool {
+        self.spine.is_some()
+    }
+
+    /// Commit a figure's harness entry to the spine (no-op when memory
+    /// only), keyed by figure name — the queryable perf trajectory.
     pub fn commit_figure_entry(&self, figure: &str, entry: &Value) {
-        if let Some(DiskBackend::Spine(spine)) = &self.disk {
+        if let Some(spine) = &self.spine {
             let mut spine = spine.lock().unwrap();
             let _ = spine.commit(vec![(
                 Key::figure(name_hash(figure)),
@@ -161,10 +144,10 @@ impl Engine {
     }
 
     /// Commit a telemetry snapshot for `source` into the spine's telemetry
-    /// keyspace (kind 2); no-op on other backends. Repeated commits under
+    /// keyspace (kind 2); no-op when memory only. Repeated commits under
     /// one source key accumulate a time-travel-queryable timeline.
     pub fn commit_telemetry(&self, source: &str, snapshot: &Value) {
-        if let Some(DiskBackend::Spine(spine)) = &self.disk {
+        if let Some(spine) = &self.spine {
             let mut spine = spine.lock().unwrap();
             let _ = spine.commit(vec![(
                 Key::telemetry(name_hash(source)),
@@ -173,13 +156,12 @@ impl Engine {
         }
     }
 
-    /// Run `f` with the spine locked (`None` on other backends) — the
+    /// Run `f` with the spine locked (`None` when memory only) — the
     /// cursor/time-travel query surface for tools and tests.
     pub fn with_spine_handle<R>(&self, f: impl FnOnce(&mut Spine) -> R) -> Option<R> {
-        match &self.disk {
-            Some(DiskBackend::Spine(spine)) => Some(f(&mut spine.lock().unwrap())),
-            _ => None,
-        }
+        self.spine
+            .as_ref()
+            .map(|spine| f(&mut spine.lock().unwrap()))
     }
 
     /// Number of per-job latency samples recorded so far (a cursor for
@@ -298,7 +280,7 @@ impl Engine {
         r.set(id, percentile_ns(&lats, 99.0) as f64 / 1000.0);
         // Memory-tier paging traffic (faults, evictions, resident gauges).
         cwsp_obs::tier::publish(r);
-        if let Some(DiskBackend::Spine(spine)) = &self.disk {
+        if let Some(spine) = &self.spine {
             let spine = spine.lock().unwrap();
             for (name, v) in [
                 ("engine.spine.batches", spine.batches().len() as f64),
@@ -312,112 +294,39 @@ impl Engine {
         }
     }
 
-    fn flat_path(dir: &Path, key: (u64, u64)) -> PathBuf {
-        dir.join(format!("{:016x}{:016x}.json", key.0, key.1))
-    }
-
     fn disk_load(&self, key: (u64, u64)) -> Option<SimStats> {
-        match self.disk.as_ref()? {
-            DiskBackend::Flat(dir) => {
-                let text = std::fs::read_to_string(Self::flat_path(dir, key)).ok()?;
-                let v = json::parse(&text).ok()?;
-                stats_from_json(v.get("stats")?)
-            }
-            DiskBackend::Spine(spine) => {
-                let spine = spine.lock().unwrap();
-                let bytes = spine.get(Key::sim(key.0, key.1))?;
-                let v = json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
-                stats_from_json(v.get("stats")?)
-            }
-        }
+        let spine = self.spine.as_ref()?.lock().unwrap();
+        let bytes = spine.get(Key::sim(key.0, key.1))?;
+        let v = json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
+        stats_from_json(v.get("stats")?)
     }
 
     fn disk_store(&self, key: (u64, u64), name: &str, s: &SimStats) {
-        let Some(backend) = self.disk.as_ref() else {
+        let Some(spine) = &self.spine else {
             return;
         };
         let doc = Value::Obj(vec![
             ("name".into(), Value::Str(name.to_string())),
             ("stats".into(), stats_to_json(s)),
         ]);
-        match backend {
-            DiskBackend::Flat(dir) => {
-                if std::fs::create_dir_all(dir).is_err() {
-                    return;
-                }
-                let path = Self::flat_path(dir, key);
-                // Write-then-rename so concurrent figure binaries never
-                // observe a torn file.
-                let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-                if std::fs::write(&tmp, doc.to_pretty()).is_ok() {
-                    let _ = std::fs::rename(&tmp, &path);
-                }
-            }
-            DiskBackend::Spine(spine) => {
-                let mut spine = spine.lock().unwrap();
-                let _ = spine.commit(vec![(Key::sim(key.0, key.1), doc.to_pretty().into_bytes())]);
-            }
-        }
+        let _ = spine
+            .lock()
+            .unwrap()
+            .commit(vec![(Key::sim(key.0, key.1), doc.to_pretty().into_bytes())]);
     }
 }
 
-/// One-shot migration of legacy flat per-key JSON files into the spine:
-/// every parseable `<keyhex>.json` in `dir` is committed as one batch, then
-/// the spine's `migrated` manifest flag stops this from ever running again.
-/// The flat files are left in place (they are harmless, and `CWSP_STORE=flat`
-/// can still read them); migrated entries keep their old-version keys, so
-/// they are reachable as history rather than as fresh-lookup hits.
-fn migrate_flat_cache(dir: &Path, spine: &mut Spine) {
-    if spine.migrated() {
-        return;
+impl Default for Engine {
+    fn default() -> Self {
+        Engine::new()
     }
-    let mut items: Vec<(Key, Vec<u8>)> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        let mut names: Vec<String> = entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.len() == 32 + 5 && n.ends_with(".json"))
-            .collect();
-        names.sort();
-        for name in names {
-            let (Ok(a), Ok(b)) = (
-                u64::from_str_radix(&name[..16], 16),
-                u64::from_str_radix(&name[16..32], 16),
-            ) else {
-                continue;
-            };
-            let Ok(text) = std::fs::read_to_string(dir.join(&name)) else {
-                continue;
-            };
-            // Only well-formed entries migrate; junk stays behind.
-            if json::parse(&text)
-                .ok()
-                .and_then(|v| v.get("stats").cloned())
-                .is_some()
-            {
-                items.push((Key::sim(a, b), text.into_bytes()));
-            }
-        }
-    }
-    let _ = spine.commit(items);
-    spine.set_migrated();
 }
 
-/// The process-global engine (disk store configured from the environment:
-/// `CWSP_CACHE`/`CWSP_CACHE_DIR` pick the directory, `CWSP_STORE` picks the
-/// backend — `spine` by default, `flat` for the legacy per-key files).
+/// The process-global engine (`CWSP_CACHE`/`CWSP_CACHE_DIR` pick the spine
+/// directory, or turn the disk store off).
 pub fn engine() -> &'static Engine {
     static GLOBAL: OnceLock<Engine> = OnceLock::new();
-    GLOBAL.get_or_init(|| match disk_dir_from_env() {
-        None => Engine::new(None),
-        Some(dir) => {
-            if matches!(std::env::var("CWSP_STORE").as_deref(), Ok("flat")) {
-                Engine::new(Some(dir))
-            } else {
-                Engine::with_spine(dir)
-            }
-        }
-    })
+    GLOBAL.get_or_init(|| disk_dir_from_env().map_or_else(Engine::new, Engine::with_spine))
 }
 
 fn disk_dir_from_env() -> Option<PathBuf> {
@@ -1055,7 +964,7 @@ mod tests {
 
     #[test]
     fn memo_runs_each_key_once() {
-        let e = Engine::new(None);
+        let e = Engine::new();
         let m = tiny_module();
         let cfg = SimConfig::default();
         let a = e.stats("t", &m, &cfg, Scheme::Baseline);
@@ -1070,7 +979,7 @@ mod tests {
 
     #[test]
     fn compile_memo_shares_one_compilation() {
-        let e = Engine::new(None);
+        let e = Engine::new();
         let m = tiny_module();
         let a = e.compiled(&m, CompileOptions::default());
         let b = e.compiled(&m, CompileOptions::default());
@@ -1087,27 +996,11 @@ mod tests {
 
     #[test]
     fn disk_cache_round_trips_and_survives_a_fresh_engine() {
-        let dir = std::env::temp_dir().join(format!("cwsp-engine-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let m = tiny_module();
-        let cfg = SimConfig::default();
-        let warm = Engine::new(Some(dir.clone()));
-        let a = warm.stats("t", &m, &cfg, Scheme::Baseline);
-        assert_eq!(warm.counters().disk_hits, 0);
-        // A fresh engine (fresh process, conceptually) hits the disk.
-        let cold = Engine::new(Some(dir.clone()));
-        let b = cold.stats("t", &m, &cfg, Scheme::Baseline);
-        assert_eq!(a, b);
-        assert_eq!(cold.counters().disk_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn spine_backend_round_trips_and_survives_a_fresh_engine() {
         let dir = std::env::temp_dir().join(format!("cwsp-spine-engine-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let m = tiny_module();
         let cfg = SimConfig::default();
+        assert!(!Engine::new().uses_spine());
         let warm = Engine::with_spine(dir.clone());
         assert!(warm.uses_spine());
         let a = warm.stats("t", &m, &cfg, Scheme::Baseline);
@@ -1120,40 +1013,6 @@ mod tests {
         // The spine wrote batches + a manifest.
         let manifest = std::fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
         assert!(manifest.contains(".batch"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flat_cache_migrates_into_spine_once() {
-        let dir = std::env::temp_dir().join(format!("cwsp-migrate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let m = tiny_module();
-        let cfg = SimConfig::default();
-        // Seed a legacy flat cache.
-        let flat = Engine::new(Some(dir.clone()));
-        let a = flat.stats("t", &m, &cfg, Scheme::Baseline);
-        // Opening the spine on the same directory migrates the flat entry.
-        let spined = Engine::with_spine(dir.clone());
-        let key = (module_fp(&m), machine_fp(&cfg, Scheme::Baseline));
-        let migrated = spined
-            .with_spine_handle(|s| {
-                assert!(s.migrated(), "migration flag set");
-                s.get(Key::sim(key.0, key.1)).map(|b| b.to_vec())
-            })
-            .unwrap()
-            .expect("flat entry is reachable through the spine");
-        let v = json::parse(std::str::from_utf8(&migrated).unwrap()).unwrap();
-        assert_eq!(stats_from_json(v.get("stats").unwrap()).unwrap(), a);
-        // And a spine load serves it as a disk hit.
-        let b = spined.stats("t", &m, &cfg, Scheme::Baseline);
-        assert_eq!(a, b);
-        assert_eq!(spined.counters().disk_hits, 1);
-        // Re-opening does not duplicate history (migration is one-shot).
-        let again = Engine::with_spine(dir.clone());
-        let versions = again
-            .with_spine_handle(|s| s.history(Key::sim(key.0, key.1)).len())
-            .unwrap();
-        assert_eq!(versions, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1199,7 +1058,7 @@ mod tests {
 
     #[test]
     fn parallel_stats_agree_with_each_other() {
-        let e = Engine::new(None);
+        let e = Engine::new();
         let m = tiny_module();
         let cfg = SimConfig::default();
         let runs: Vec<SimStats> = par_map(&[(); 8], |_| e.stats("t", &m, &cfg, Scheme::Baseline));
@@ -1237,7 +1096,7 @@ mod tests {
 
     #[test]
     fn job_latencies_and_percentiles() {
-        let e = Engine::new(None);
+        let e = Engine::new();
         let m = tiny_module();
         let cfg = SimConfig::default();
         assert_eq!(e.job_latency_count(), 0);
@@ -1266,7 +1125,7 @@ mod tests {
 
     #[test]
     fn engine_publishes_metrics_registry() {
-        let e = Engine::new(None);
+        let e = Engine::new();
         let m = tiny_module();
         let cfg = SimConfig::default();
         let _ = e.stats("t", &m, &cfg, Scheme::Baseline);

@@ -10,9 +10,9 @@
 //! processes, which the on-disk cache requires.
 
 use cwsp_compiler::pipeline::CompileOptions;
+use cwsp_ir::fxhash::FxHasher;
 use cwsp_ir::module::Module;
 use cwsp_sim::config::{CacheParams, MainMemory, SimConfig};
-use cwsp_sim::hash::FxHasher;
 use cwsp_sim::scheme::Scheme;
 use std::hash::Hasher;
 
@@ -23,8 +23,7 @@ use std::hash::Hasher;
 /// the core issue loop and the harness telemetry schema grew queue-latency
 /// and utilization fields.
 /// Version 4: results moved from flat per-key JSON files to the LSM result
-/// spine (`cwsp_store::spine`); v3 flat entries are migrated into the spine
-/// as history (time-travel reachable) but fresh v4 keys recompute.
+/// spine (`cwsp_store::spine`); older entries are never read.
 pub const CACHE_VERSION: u64 = 4;
 
 /// Incrementally hashes heterogeneous fields into one stable u64.

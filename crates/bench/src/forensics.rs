@@ -7,8 +7,8 @@
 //! [`crate::engine::Engine::commit_telemetry`]), so the fleet's forensic
 //! history accumulates next to the figure results.
 
-use crate::json::{self, Value};
 use cwsp_core::system::{CrashInvestigation, CwspSystem};
+use cwsp_obs::json::Value;
 
 /// Replay budget per recovery (matches `core::verify`'s end-to-end checks).
 pub const MAX_REPLAY_STEPS: u64 = 50_000_000;
@@ -53,12 +53,7 @@ pub fn investigation_json(workload: &str, kill_cycle: u64, inv: &CrashInvestigat
         fields.push(("matched".into(), Value::Bool(rep.all_matched())));
         fields.push(("lost_stores".into(), Value::Int(rep.counts().lost())));
         fields.push(("replayed_steps".into(), Value::Int(inv.replayed_steps)));
-        // The report renders its own JSON; re-parse so it embeds as a
-        // value, not an escaped string.
-        match json::parse(&rep.to_json()) {
-            Ok(r) => fields.push(("report".into(), r)),
-            Err(e) => fields.push(("report_error".into(), Value::Str(e))),
-        }
+        fields.push(("report".into(), rep.to_value()));
     }
     Value::Obj(fields)
 }
@@ -171,7 +166,7 @@ mod tests {
         assert!(rep.get("counts").is_some());
         assert!(rep.get("cross_checks").is_some());
         // The document round-trips through its own serializer.
-        assert!(json::parse(&v.to_pretty()).is_ok());
+        assert!(cwsp_obs::json::parse(&v.to_pretty()).is_ok());
     }
 
     #[test]

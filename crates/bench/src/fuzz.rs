@@ -35,7 +35,6 @@
 //! per-shard coverage histograms.
 
 use crate::engine::{merge_harness_section, par_map};
-use crate::json::{self, Value};
 use cwsp_analyzer::races::{check_concurrency, RaceOptions};
 use cwsp_analyzer::{analyze, analyze_incremental, persist, AnalysisCache, Report, Severity};
 use cwsp_compiler::autofence;
@@ -47,9 +46,10 @@ use cwsp_core::genprog::{
     inject_redundant_flush, inject_unsynced_store, ConcSpec, ProgramSpec,
 };
 use cwsp_ir::function::Block;
+use cwsp_ir::fxhash::FxHasher;
 use cwsp_ir::inst::Inst;
 use cwsp_ir::module::Module;
-use cwsp_sim::hash::FxHasher;
+use cwsp_obs::json::{self, Value};
 use cwsp_sim::race::{check_module, OracleConfig};
 use cwsp_store::spine::{Key, Spine};
 use std::collections::BTreeMap;

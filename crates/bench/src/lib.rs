@@ -16,7 +16,6 @@ pub mod engine;
 pub mod fingerprint;
 pub mod forensics;
 pub mod fuzz;
-pub mod json;
 
 use cwsp_compiler::pipeline::CompileOptions;
 use cwsp_ir::interp::InterpError;
@@ -219,14 +218,6 @@ pub fn print_results(title: &str, unit: &str, results: &[AppResult]) {
     println!("--");
     for (label, v) in suite_gmeans(results) {
         println!("   {label:<12} {v:>8.3} {unit} (gmean)");
-    }
-}
-
-/// Print a simple named series (sweep figures).
-pub fn print_series(title: &str, unit: &str, series: &[(String, f64)]) {
-    println!("\n=== {title} ===");
-    for (label, v) in series {
-        println!("   {label:<18} {v:>8.3} {unit}");
     }
 }
 

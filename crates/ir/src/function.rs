@@ -68,14 +68,6 @@ impl Function {
         &self.blocks[id.index()]
     }
 
-    /// Mutable access to a block.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.index()]
-    }
-
     /// Iterate over `(BlockId, &Block)` pairs in id order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> {
         self.blocks

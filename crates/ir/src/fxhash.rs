@@ -8,8 +8,8 @@
 //! hash instead (the same trade rustc itself makes): one rotate, one xor,
 //! one multiply per 8 bytes.
 //!
-//! This is the canonical definition; `cwsp-sim` re-exports it as `sim::hash`
-//! so both the memory model and the cache model key their maps identically.
+//! The memory model, the simulator's cache model and the bench fingerprints
+//! all use this one definition, so they key their maps identically.
 
 use std::hash::{BuildHasher, Hasher};
 

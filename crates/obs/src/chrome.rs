@@ -17,20 +17,7 @@
 //! cycles. Events are kept in insertion order; the format does not require
 //! sorting.
 
-use std::fmt::Write as _;
-
-/// An argument value attached to an event (`args` object in the JSON).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Arg {
-    /// Integer payload.
-    Int(u64),
-    /// Float payload.
-    Float(f64),
-    /// String payload.
-    Str(String),
-    /// Boolean payload.
-    Bool(bool),
-}
+use crate::json::{obj, Value};
 
 /// One trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +36,8 @@ pub struct ChromeEvent {
     pub pid: u64,
     /// Thread id (track within the group).
     pub tid: u64,
-    /// Event arguments.
-    pub args: Vec<(String, Arg)>,
+    /// Event arguments (the `args` object in the JSON).
+    pub args: Vec<(String, Value)>,
 }
 
 /// A trace under construction.
@@ -78,7 +65,7 @@ impl ChromeTrace {
             dur: None,
             pid: PID,
             tid: 0,
-            args: vec![("name".into(), Arg::Str(name.into()))],
+            args: vec![("name".into(), Value::Str(name.into()))],
         });
     }
 
@@ -92,7 +79,7 @@ impl ChromeTrace {
             dur: None,
             pid: PID,
             tid,
-            args: vec![("name".into(), Arg::Str(name.into()))],
+            args: vec![("name".into(), Value::Str(name.into()))],
         });
     }
 
@@ -104,7 +91,7 @@ impl ChromeTrace {
         name: &str,
         ts: u64,
         dur: u64,
-        args: Vec<(String, Arg)>,
+        args: Vec<(String, Value)>,
     ) {
         self.events.push(ChromeEvent {
             name: name.into(),
@@ -119,7 +106,14 @@ impl ChromeTrace {
     }
 
     /// An instant event at `ts` on track `tid`.
-    pub fn instant(&mut self, tid: u64, cat: &str, name: &str, ts: u64, args: Vec<(String, Arg)>) {
+    pub fn instant(
+        &mut self,
+        tid: u64,
+        cat: &str,
+        name: &str,
+        ts: u64,
+        args: Vec<(String, Value)>,
+    ) {
         self.events.push(ChromeEvent {
             name: name.into(),
             cat: cat.into(),
@@ -133,7 +127,7 @@ impl ChromeTrace {
     }
 
     /// A counter sample at `ts` (each arg becomes one series).
-    pub fn counter(&mut self, tid: u64, name: &str, ts: u64, series: Vec<(String, Arg)>) {
+    pub fn counter(&mut self, tid: u64, name: &str, ts: u64, series: Vec<(String, Value)>) {
         self.events.push(ChromeEvent {
             name: name.into(),
             cat: "counter".into(),
@@ -172,52 +166,35 @@ impl ChromeTrace {
         tids
     }
 
-    /// Serialize as the JSON-object trace format.
+    /// Serialize as the JSON-object trace format, compact: traces run to
+    /// megabytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  {\"name\": ");
-            crate::json_escape(&mut out, &e.name);
-            out.push_str(", \"cat\": ");
-            crate::json_escape(&mut out, &e.cat);
-            let _ = write!(
-                out,
-                ", \"ph\": \"{}\", \"ts\": {}, \"pid\": {}, \"tid\": {}",
-                e.ph, e.ts, e.pid, e.tid
-            );
+        let events = self.events.iter().map(|e| {
+            let mut fields = vec![
+                ("name", e.name.as_str().into()),
+                ("cat", e.cat.as_str().into()),
+                ("ph", e.ph.to_string().into()),
+                ("ts", e.ts.into()),
+                ("pid", e.pid.into()),
+                ("tid", e.tid.into()),
+            ];
             if let Some(d) = e.dur {
-                let _ = write!(out, ", \"dur\": {d}");
+                fields.push(("dur", d.into()));
             }
             if e.ph == 'i' {
                 // Instant scope: thread.
-                out.push_str(", \"s\": \"t\"");
+                fields.push(("s", "t".into()));
             }
             if !e.args.is_empty() {
-                out.push_str(", \"args\": {");
-                for (j, (k, v)) in e.args.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    crate::json_escape(&mut out, k);
-                    out.push_str(": ");
-                    match v {
-                        Arg::Int(n) => {
-                            let _ = write!(out, "{n}");
-                        }
-                        Arg::Float(f) => crate::json_f64(&mut out, *f),
-                        Arg::Str(s) => crate::json_escape(&mut out, s),
-                        Arg::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                    }
-                }
-                out.push('}');
+                fields.push(("args", Value::Obj(e.args.clone())));
             }
-            out.push('}');
-        }
-        out.push_str("\n]}\n");
-        out
+            obj(fields)
+        });
+        obj([
+            ("displayTimeUnit", "ms".into()),
+            ("traceEvents", Value::Arr(events.collect())),
+        ])
+        .to_compact()
     }
 }
 
@@ -237,7 +214,7 @@ mod tests {
             "dyn3",
             100,
             50,
-            vec![("insts".into(), Arg::Int(12))],
+            vec![("insts".into(), Value::Int(12))],
         );
         t.instant(1000, "persist", "arrive", 120, vec![]);
         assert_eq!(t.complete_spans_on(0), 1);
@@ -255,29 +232,34 @@ mod tests {
             "stall:pb",
             7,
             3,
-            vec![("region".into(), Arg::Str("dyn1".into()))],
+            vec![("region".into(), Value::Str("dyn1".into()))],
         );
         t.instant(
             0,
             "power",
             "POWER FAILURE",
             11,
-            vec![("bool".into(), Arg::Bool(true))],
+            vec![("bool".into(), Value::Bool(true))],
         );
-        t.counter(0, "occupancy", 5, vec![("wb".into(), Arg::Int(4))]);
-        let j = t.to_json();
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert!(j.contains("\"traceEvents\""));
-        assert!(j.contains("\"ph\": \"X\""));
-        assert!(j.contains("\"dur\": 3"));
-        assert!(j.contains("\"ph\": \"i\""));
-        assert!(j.contains("\"s\": \"t\""));
-        assert!(j.contains("\"ph\": \"C\""));
-        assert!(j.contains("\"ph\": \"M\""));
-        // Balanced braces/brackets (cheap structural sanity; the full parse
-        // check lives in the bench crate, which has the JSON parser).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        t.counter(0, "occupancy", 5, vec![("wb".into(), Value::Int(4))]);
+        let doc = crate::json::parse(&t.to_json()).unwrap();
+        let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let phases: Vec<&str> = evs
+            .iter()
+            .map(|e| e.get("ph").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(phases, ["M", "X", "i", "C"]);
+        assert_eq!(evs[1].get("dur").unwrap().as_u64(), Some(3));
+        assert_eq!(
+            evs[1].get("args").unwrap().get("region").unwrap().as_str(),
+            Some("dyn1")
+        );
+        assert_eq!(evs[2].get("s").unwrap().as_str(), Some("t"));
+        assert_eq!(evs[2].get("dur"), None);
+        assert_eq!(
+            evs[3].get("args").unwrap().get("wb").unwrap().as_u64(),
+            Some(4)
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! per-address sequence match (see `tests/flight_forensics.rs`).
 
 use crate::flight::{FlightKind, FlightRecord, REGION_NONE};
+use crate::json::{obj, Value};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -522,103 +523,72 @@ impl ForensicReport {
         out
     }
 
-    /// Render the report as a JSON object (hand-rolled; the workspace
-    /// builds offline with no serde).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
+    /// The report as a JSON object (the `cwsp-forensics-v1` schema).
+    pub fn to_value(&self) -> Value {
         let c = self.counts();
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"cwsp-forensics-v1\",");
-        let _ = writeln!(out, "  \"crash_cycle\": {},", self.crash_cycle);
-        match self.power_fail_cycle {
-            Some(pf) => {
-                let _ = writeln!(out, "  \"power_fail_cycle\": {pf},");
-            }
-            None => {
-                let _ = writeln!(out, "  \"power_fail_cycle\": null,");
-            }
-        }
-        let _ = writeln!(out, "  \"journal_stores\": {},", self.stores.len());
-        let _ = writeln!(out, "  \"regions\": {},", self.regions.len());
-        let _ = writeln!(out, "  \"line_evicts\": {},", self.line_evicts);
-        let _ = writeln!(
-            out,
-            "  \"counts\": {{\"committed\": {}, \"in_wpq\": {}, \"in_path\": {}, \"in_pb\": {}, \
-             \"reverted\": {}, \"pending\": {}, \"sync_pending\": {}, \"wb_lines\": {}, \
-             \"dirty_l1\": {}, \"lost\": {}}},",
-            c.committed,
-            c.in_wpq,
-            c.in_path,
-            c.in_pb,
-            c.reverted,
-            c.pending,
-            c.sync_pending,
-            c.wb_lines,
-            c.dirty_l1,
-            c.lost()
-        );
-        out.push_str("  \"lost\": [");
-        for (i, ((f, region, cause), n)) in self.lost_by_site().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"function\": ");
-            crate::json_escape(&mut out, &self.func_name(*f));
-            let _ = write!(
-                out,
-                ", \"region\": {region}, \"cause\": \"{cause}\", \"stores\": {n}}}"
-            );
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"cores\": [");
-        for (i, cf) in self.frontier.cores.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"core\": {i}, \"resume_region\": {}, \"halted\": {}, \"pb\": {}, \
-                 \"pending\": {}, \"sync_pending\": {}, \"wb_lines\": {}, \"dirty_l1\": {}, \
-                 \"predicted_replay\": {}}}",
-                cf.resume_region
-                    .map(|r| r.to_string())
-                    .unwrap_or_else(|| "null".into()),
-                cf.halted,
-                cf.pb.len(),
-                cf.pending.len(),
-                cf.sync_pending.len(),
-                cf.wb_lines.len(),
-                cf.dirty_l1.len(),
-                self.predicted_replay(i).len()
-            );
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"cross_checks\": [");
-        for (i, ck) in self.cross_checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"core\": {}, \"expected\": {}, \"observed\": {}, \"matched\": {}, \
-                 \"first_divergence\": {}}}",
-                ck.core,
-                ck.expected.len(),
-                ck.observed,
-                ck.matched,
-                ck.first_divergence
-                    .map(|d| d.to_string())
-                    .unwrap_or_else(|| "null".into())
-            );
-        }
-        out.push_str("\n  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"live_log_records\": {}",
-            self.frontier.live_log_records
-        );
-        out.push_str("}\n");
-        out
+        let counts = obj([
+            ("committed", c.committed.into()),
+            ("in_wpq", c.in_wpq.into()),
+            ("in_path", c.in_path.into()),
+            ("in_pb", c.in_pb.into()),
+            ("reverted", c.reverted.into()),
+            ("pending", c.pending.into()),
+            ("sync_pending", c.sync_pending.into()),
+            ("wb_lines", c.wb_lines.into()),
+            ("dirty_l1", c.dirty_l1.into()),
+            ("lost", c.lost().into()),
+        ]);
+        let lost = self
+            .lost_by_site()
+            .into_iter()
+            .map(|((f, region, cause), n)| {
+                obj([
+                    ("function", self.func_name(f).into()),
+                    ("region", region.into()),
+                    ("cause", cause.into()),
+                    ("stores", n.into()),
+                ])
+            });
+        let cores = self.frontier.cores.iter().enumerate().map(|(i, cf)| {
+            obj([
+                ("core", i.into()),
+                ("resume_region", cf.resume_region.into()),
+                ("halted", cf.halted.into()),
+                ("pb", cf.pb.len().into()),
+                ("pending", cf.pending.len().into()),
+                ("sync_pending", cf.sync_pending.len().into()),
+                ("wb_lines", cf.wb_lines.len().into()),
+                ("dirty_l1", cf.dirty_l1.len().into()),
+                ("predicted_replay", self.predicted_replay(i).len().into()),
+            ])
+        });
+        let cross_checks = self.cross_checks.iter().map(|ck| {
+            obj([
+                ("core", ck.core.into()),
+                ("expected", ck.expected.len().into()),
+                ("observed", ck.observed.into()),
+                ("matched", ck.matched.into()),
+                ("first_divergence", ck.first_divergence.into()),
+            ])
+        });
+        obj([
+            ("schema", "cwsp-forensics-v1".into()),
+            ("crash_cycle", self.crash_cycle.into()),
+            ("power_fail_cycle", self.power_fail_cycle.into()),
+            ("journal_stores", self.stores.len().into()),
+            ("regions", self.regions.len().into()),
+            ("line_evicts", self.line_evicts.into()),
+            ("counts", counts),
+            ("lost", Value::Arr(lost.collect())),
+            ("cores", Value::Arr(cores.collect())),
+            ("cross_checks", Value::Arr(cross_checks.collect())),
+            ("live_log_records", self.frontier.live_log_records.into()),
+        ])
+    }
+
+    /// Render the report as pretty JSON.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_pretty()
     }
 
     /// Render the recovery timeline as a Chrome/Perfetto trace: per-core
@@ -627,7 +597,6 @@ impl ForensicReport {
     /// start at [`FLIGHT_TID_BASE`], clear of the simulator trace (cores
     /// from 0, MCs at 1000) and sink tracks (2000+).
     pub fn to_chrome(&self) -> crate::ChromeTrace {
-        use crate::chrome::Arg;
         let mut t = crate::ChromeTrace::new();
         t.process_name("cwsp-forensics");
         let horizon = self
@@ -646,7 +615,7 @@ impl ForensicReport {
                 &format!("region {}", span.region),
                 span.open_cycle,
                 end.saturating_sub(span.open_cycle),
-                vec![("open".into(), Arg::Bool(span.close_cycle.is_none()))],
+                vec![("open".into(), Value::Bool(span.close_cycle.is_none()))],
             );
         }
         // Persist spans are the journal's bread and butter but can number
@@ -662,8 +631,8 @@ impl ForensicReport {
                     s.issue_cycle,
                     wpq.saturating_sub(s.issue_cycle),
                     vec![
-                        ("addr".into(), Arg::Int(s.addr)),
-                        ("region".into(), Arg::Int(s.region)),
+                        ("addr".into(), Value::Int(s.addr)),
+                        ("region".into(), Value::Int(s.region)),
                     ],
                 ),
                 None => t.instant(
@@ -672,9 +641,9 @@ impl ForensicReport {
                     s.fate.as_str(),
                     s.issue_cycle,
                     vec![
-                        ("addr".into(), Arg::Int(s.addr)),
-                        ("region".into(), Arg::Int(s.region)),
-                        ("function".into(), Arg::Str(self.func_name(s.func))),
+                        ("addr".into(), Value::Int(s.addr)),
+                        ("region".into(), Value::Int(s.region)),
+                        ("function".into(), Value::Str(self.func_name(s.func))),
                     ],
                 ),
             }
@@ -687,7 +656,7 @@ impl ForensicReport {
                 horizon,
                 vec![(
                     "omitted".into(),
-                    Arg::Int((self.stores.len() - SPAN_CAP) as u64),
+                    Value::Int((self.stores.len() - SPAN_CAP) as u64),
                 )],
             );
         }
@@ -696,7 +665,7 @@ impl ForensicReport {
             "flight",
             "power failure",
             self.power_fail_cycle.unwrap_or(self.crash_cycle),
-            vec![("lost_stores".into(), Arg::Int(self.counts().lost()))],
+            vec![("lost_stores".into(), Value::Int(self.counts().lost()))],
         );
         t
     }

@@ -24,6 +24,9 @@
 //!   machine snapshot: persisted / in-WPQ / dirty store sets, lost-store
 //!   attribution, and the replay cross-check, rendered as text, JSON, and
 //!   a Chrome/Perfetto track.
+//! * [`json`] — the workspace's one JSON format: a [`json::Value`] tree
+//!   with a pretty and a compact writer and a parser. Every JSON document
+//!   the workspace writes is built as a `Value`.
 //! * [`sink`] — the [`sink::ObsSink`] trait: the low-rate instrumentation
 //!   interface (compiler passes, recovery replay). The no-op
 //!   [`sink::NullSink`] is the default everywhere, so instrumented code
@@ -37,6 +40,7 @@
 pub mod chrome;
 pub mod flight;
 pub mod forensics;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod sink;
@@ -48,34 +52,3 @@ pub use forensics::{CoreFrontier, ForensicReport, MachineFrontier, StoreFate};
 pub use metrics::{MetricValue, ObserveError, Registry, Snapshot};
 pub use profile::{FlatProfile, ProfileRow};
 pub use sink::{ChromeSink, MemSink, NullSink, ObsSink, SinkEvent};
-
-/// Escape a string into a JSON string literal (shared by the writers here).
-pub(crate) fn json_escape(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Format an f64 the way the harness JSON does: shortest-exact `{:?}`,
-/// `null` for non-finite values.
-pub(crate) fn json_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}

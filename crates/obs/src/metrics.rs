@@ -9,6 +9,7 @@
 //! stable for a fixed program — no hash-map iteration order leaks into
 //! artifacts.
 
+use crate::json::Value;
 use std::fmt;
 
 /// The value of one metric.
@@ -275,36 +276,20 @@ impl Registry {
     /// Serialize as a JSON object in registration order:
     /// `{"name": 3, "gauge": 0.5, "hist": {"1-4": 2, ...}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  ");
-            crate::json_escape(&mut out, name);
-            out.push_str(": ");
-            match v {
-                MetricValue::Counter(n) => {
-                    use std::fmt::Write as _;
-                    let _ = write!(out, "{n}");
-                }
-                MetricValue::Gauge(g) => crate::json_f64(&mut out, *g),
-                MetricValue::Histogram(buckets) => {
-                    out.push('{');
-                    for (j, (l, n)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        crate::json_escape(&mut out, l);
-                        use std::fmt::Write as _;
-                        let _ = write!(out, ": {n}");
-                    }
-                    out.push('}');
-                }
-            }
-        }
-        out.push_str("\n}\n");
-        out
+        let fields = self.metrics.iter().map(|(name, v)| {
+            let v = match v {
+                MetricValue::Counter(n) => Value::Int(*n),
+                MetricValue::Gauge(g) => Value::Float(*g),
+                MetricValue::Histogram(buckets) => Value::Obj(
+                    buckets
+                        .iter()
+                        .map(|(l, n)| (l.clone(), Value::Int(*n)))
+                        .collect(),
+                ),
+            };
+            (name.clone(), v)
+        });
+        Value::Obj(fields.collect()).to_pretty()
     }
 
     /// Render the registry in the OpenMetrics / Prometheus text exposition

@@ -12,6 +12,7 @@
 //! numerator, so `coverage()` reports the fraction of cycles attributed to
 //! real functions/regions + causes.
 
+use crate::json::{obj, Value};
 use std::fmt::Write as _;
 
 /// One aggregated (site, cause) row.
@@ -206,44 +207,26 @@ impl FlatProfile {
 
     /// Serialize the profile as JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"total_cycles\": {},", self.total_cycles);
-        let _ = writeln!(
-            out,
-            "  \"attributed_cycles\": {},",
-            self.attributed_cycles()
-        );
-        out.push_str("  \"coverage\": ");
-        crate::json_f64(&mut out, self.coverage());
-        out.push_str(",\n  \"by_cause\": {");
-        for (i, (cause, cycles)) in self.by_cause().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            crate::json_escape(&mut out, cause);
-            let _ = write!(out, ": {cycles}");
-        }
-        out.push_str("},\n  \"rows\": [\n");
-        let rows = self.sorted_rows();
-        for (i, row) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("    {\"func\": ");
-            crate::json_escape(&mut out, &row.func);
-            out.push_str(", \"region\": ");
-            match row.region {
-                Some(r) => {
-                    let _ = write!(out, "{r}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"cause\": ");
-            crate::json_escape(&mut out, &row.cause);
-            let _ = write!(out, ", \"cycles\": {}}}", row.cycles);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let by_cause = self.by_cause().into_iter();
+        let rows = self.sorted_rows().into_iter().map(|row| {
+            obj([
+                ("func", row.func.as_str().into()),
+                ("region", row.region.into()),
+                ("cause", row.cause.as_str().into()),
+                ("cycles", row.cycles.into()),
+            ])
+        });
+        obj([
+            ("total_cycles", self.total_cycles.into()),
+            ("attributed_cycles", self.attributed_cycles().into()),
+            ("coverage", self.coverage().into()),
+            (
+                "by_cause",
+                Value::Obj(by_cause.map(|(c, n)| (c, n.into())).collect()),
+            ),
+            ("rows", Value::Arr(rows.collect())),
+        ])
+        .to_pretty()
     }
 }
 
@@ -302,11 +285,14 @@ mod tests {
 
     #[test]
     fn json_report_is_balanced_and_typed() {
-        let j = sample().to_json();
-        assert!(j.contains("\"total_cycles\": 100"));
-        assert!(j.contains("\"region\": null"));
-        assert!(j.contains("\"region\": 0"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let j = crate::json::parse(&sample().to_json()).unwrap();
+        assert_eq!(j.get("total_cycles").unwrap().as_u64(), Some(100));
+        let rows = j.get("rows").unwrap().as_arr().unwrap();
+        assert_eq!(rows[0].get("region").unwrap().as_u64(), Some(0));
+        assert_eq!(rows[1].get("region"), Some(&Value::Null));
+        assert_eq!(
+            j.get("by_cause").unwrap().get("exec").unwrap().as_u64(),
+            Some(65)
+        );
     }
 }

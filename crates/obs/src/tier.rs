@@ -7,8 +7,31 @@
 //! its cache hit rates; the `storage-smoke` CI job reads the same snapshot
 //! through [`snapshot_json`] (via `CWSP_TIER_JSON`).
 
+use crate::json::Value;
 use crate::Registry;
 use cwsp_store::tier::{snapshot, TierSnapshot};
+
+/// How many of [`fields`] are counters; the rest are gauges.
+const COUNTERS: usize = 9;
+
+/// Every field of `s` by name: the counters, then the gauges.
+fn fields(s: &TierSnapshot) -> [(&'static str, u64); 13] {
+    [
+        ("faults", s.faults),
+        ("evictions", s.evictions),
+        ("writebacks", s.writebacks),
+        ("writeback_batches", s.writeback_batches),
+        ("writeback_ns", s.writeback_ns),
+        ("spilled_loads", s.spilled_loads),
+        ("resident_hits", s.resident_hits),
+        ("zero_drops", s.zero_drops),
+        ("spill_bytes", s.spill_bytes),
+        ("resident_pages", s.resident_pages),
+        ("resident_peak", s.resident_peak),
+        ("resident_peak_per_instance", s.resident_peak_per_instance),
+        ("spilled_pages", s.spilled_pages),
+    ]
+}
 
 /// Publish the current [`TierSnapshot`] into `r`.
 pub fn publish(r: &mut Registry) {
@@ -17,37 +40,22 @@ pub fn publish(r: &mut Registry) {
 
 /// Publish an explicit snapshot (unit-testable without global state).
 pub fn publish_snapshot(r: &mut Registry, s: &TierSnapshot) {
-    for (name, v) in [
-        ("store.tier.faults", s.faults),
-        ("store.tier.evictions", s.evictions),
-        ("store.tier.writebacks", s.writebacks),
-        ("store.tier.writeback_batches", s.writeback_batches),
-        ("store.tier.writeback_ns", s.writeback_ns),
-        ("store.tier.spilled_loads", s.spilled_loads),
-        ("store.tier.resident_hits", s.resident_hits),
-        ("store.tier.zero_drops", s.zero_drops),
-        ("store.tier.spill_bytes", s.spill_bytes),
-    ] {
-        let id = r.counter(name);
-        r.add(id, v);
-    }
-    for (name, v) in [
-        ("store.tier.resident_pages", s.resident_pages),
-        ("store.tier.resident_peak", s.resident_peak),
-        (
-            "store.tier.resident_peak_per_instance",
-            s.resident_peak_per_instance,
-        ),
-        ("store.tier.spilled_pages", s.spilled_pages),
-    ] {
-        let id = r.gauge(name);
-        r.set(id, v as f64);
+    for (i, (name, v)) in fields(s).into_iter().enumerate() {
+        let name = format!("store.tier.{name}");
+        if i < COUNTERS {
+            let id = r.counter(&name);
+            r.add(id, v);
+        } else {
+            let id = r.gauge(&name);
+            r.set(id, v as f64);
+        }
     }
 }
 
 /// The current tier telemetry as a flat JSON object.
 pub fn snapshot_json() -> String {
-    snapshot().to_json()
+    let fields = fields(&snapshot()).map(|(k, v)| (k.to_string(), Value::Int(v)));
+    Value::Obj(fields.into()).to_pretty()
 }
 
 #[cfg(test)]
@@ -81,8 +89,12 @@ mod tests {
 
     #[test]
     fn snapshot_json_parses_as_flat_object() {
-        let j = snapshot_json();
-        assert!(j.contains("\"resident_peak_per_instance\""));
-        assert!(j.trim_start().starts_with('{'));
+        let j = crate::json::parse(&snapshot_json()).unwrap();
+        let Value::Obj(fields) = j else {
+            panic!("not an object: {j:?}")
+        };
+        assert_eq!(fields.len(), 13);
+        assert_eq!(fields[11].0, "resident_peak_per_instance");
+        assert!(fields.iter().all(|(_, v)| v.as_u64().is_some()));
     }
 }

@@ -14,7 +14,8 @@
 //! Perfetto.
 
 use cwsp_ir::types::{DynRegionId, Word};
-use cwsp_obs::chrome::{Arg, ChromeTrace};
+use cwsp_obs::chrome::ChromeTrace;
+use cwsp_obs::json::Value;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -341,8 +342,8 @@ impl Trace {
                     "pb-issue",
                     cycle,
                     vec![
-                        ("region".into(), Arg::Str(region.to_string())),
-                        ("addr".into(), Arg::Int(addr)),
+                        ("region".into(), Value::Str(region.to_string())),
+                        ("addr".into(), Value::Int(addr)),
                     ],
                 ),
                 Event::PersistArrive {
@@ -356,8 +357,8 @@ impl Trace {
                     "wpq-arrive",
                     cycle,
                     vec![
-                        ("region".into(), Arg::Str(region.to_string())),
-                        ("addr".into(), Arg::Int(addr)),
+                        ("region".into(), Value::Str(region.to_string())),
+                        ("addr".into(), Value::Int(addr)),
                     ],
                 ),
                 Event::UndoLogged {
@@ -371,8 +372,8 @@ impl Trace {
                     "undo-append",
                     cycle,
                     vec![
-                        ("region".into(), Arg::Str(region.to_string())),
-                        ("addr".into(), Arg::Int(addr)),
+                        ("region".into(), Value::Str(region.to_string())),
+                        ("addr".into(), Value::Int(addr)),
                     ],
                 ),
                 Event::WbEnqueue { cycle, core, line } => t.instant(
@@ -380,7 +381,7 @@ impl Trace {
                     "wb",
                     "wb-enqueue",
                     cycle,
-                    vec![("line".into(), Arg::Int(line))],
+                    vec![("line".into(), Value::Int(line))],
                 ),
                 Event::Stall {
                     cycle,
@@ -391,7 +392,7 @@ impl Trace {
                 } => {
                     let mut args = Vec::new();
                     if let Some(r) = region {
-                        args.push(("region".into(), Arg::Str(r.to_string())));
+                        args.push(("region".into(), Value::Str(r.to_string())));
                     }
                     t.complete(
                         core as u64,
@@ -410,14 +411,14 @@ impl Trace {
                     "recovery",
                     "recovery-start",
                     cycle,
-                    vec![("reverted".into(), Arg::Int(reverted))],
+                    vec![("reverted".into(), Value::Int(reverted))],
                 ),
                 Event::RecoveryReplay { cycle, core, steps } => t.instant(
                     core as u64,
                     "recovery",
                     "recovery-replay",
                     cycle,
-                    vec![("steps".into(), Arg::Int(steps))],
+                    vec![("steps".into(), Value::Int(steps))],
                 ),
             }
         }
@@ -429,7 +430,7 @@ impl Trace {
                 &region.to_string(),
                 start,
                 last_cycle.saturating_sub(start),
-                vec![("truncated".into(), Arg::Bool(true))],
+                vec![("truncated".into(), Value::Bool(true))],
             );
         }
         t
@@ -590,11 +591,10 @@ mod tests {
         let ct = t.to_chrome(2, 1);
         let spans: Vec<_> = ct.events().iter().filter(|e| e.ph == 'X').collect();
         assert_eq!(spans.len(), 4);
-        assert!(spans.iter().any(|e| e
-            .args
+        assert!(spans
             .iter()
-            .any(|(k, v)| k == "region"
-                && matches!(v, Arg::Str(s) if s == &DynRegionId(19).to_string()))));
+            .any(|e| e.args.iter().any(|(k, v)| k == "region"
+                && matches!(v, Value::Str(s) if s == &DynRegionId(19).to_string()))));
         // And the post-mortem text tail still names the region.
         assert!(t.post_mortem(4).contains(&DynRegionId(19).to_string()));
     }

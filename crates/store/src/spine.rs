@@ -170,13 +170,12 @@ pub struct Spine {
     dir: PathBuf,
     batches: Vec<Batch>,
     next_seq: u64,
-    migrated: bool,
     compactions: u64,
 }
 
 impl Spine {
     /// Open (or create) the spine at `dir`. Scans the directory for batch
-    /// files; the manifest contributes only the `migrated` marker.
+    /// files; the manifest is written for readers but never read back.
     ///
     /// # Errors
     /// Propagates directory-creation failures. Unreadable or torn batch
@@ -197,14 +196,10 @@ impl Spine {
             }
         }
         let next_seq = batches.iter().map(|b| b.max_seq).max().unwrap_or(0) + 1;
-        let migrated = fs::read_to_string(dir.join("MANIFEST.json"))
-            .map(|t| t.contains("\"migrated\": true"))
-            .unwrap_or(false);
         Ok(Spine {
             dir,
             batches,
             next_seq,
-            migrated,
             compactions: 0,
         })
     }
@@ -212,17 +207,6 @@ impl Spine {
     /// Directory this spine lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Whether the one-shot flat-JSON migration has already run here.
-    pub fn migrated(&self) -> bool {
-        self.migrated
-    }
-
-    /// Record that the one-shot flat-JSON migration ran.
-    pub fn set_migrated(&mut self) {
-        self.migrated = true;
-        self.write_manifest();
     }
 
     /// Sequence number of the most recent committed batch (0 = empty).
@@ -444,7 +428,6 @@ impl Spine {
     fn write_manifest(&self) {
         let mut s = String::new();
         s.push_str("{\n \"version\": 1,\n");
-        s.push_str(&format!(" \"migrated\": {},\n", self.migrated));
         s.push_str(&format!(" \"last_seq\": {},\n", self.last_seq()));
         s.push_str(" \"batches\": [\n");
         let mut sorted: Vec<&Batch> = self.batches.iter().collect();
@@ -740,18 +723,54 @@ mod tests {
     }
 
     #[test]
-    fn manifest_describes_the_live_set_and_migration_flag_persists() {
+    fn manifest_describes_the_live_set() {
         let dir = tmpdir("man");
         let mut s = Spine::open(&dir).unwrap();
         s.commit(vec![(k(1), b"x".to_vec())]).unwrap();
-        assert!(!s.migrated());
-        s.set_migrated();
         let text = fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
-        assert!(text.contains("\"migrated\": true"));
         assert!(text.contains("\"batches\""));
         assert!(text.contains(".batch"));
-        let r = Spine::open(&dir).unwrap();
-        assert!(r.migrated(), "flag survives reopen");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn answers_do_not_depend_on_the_manifest() {
+        let dir = tmpdir("nomanifest");
+        let mut s = Spine::open(&dir).unwrap();
+        let s1 = s.commit(vec![(k(1), b"v1".to_vec())]).unwrap();
+        s.commit(vec![(k(1), b"v2".to_vec()), (k(2), b"w".to_vec())])
+            .unwrap();
+        let answers = |s: &Spine| {
+            (
+                s.last_seq(),
+                s.get(k(1)).map(<[u8]>::to_vec),
+                s.get(k(2)).map(<[u8]>::to_vec),
+                s.get_as_of(k(1), s1).map(<[u8]>::to_vec),
+                s.get_as_of(k(2), s1).map(<[u8]>::to_vec),
+                s.history(k(1))
+                    .into_iter()
+                    .map(|(q, v)| (q, v.to_vec()))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let expected = answers(&Spine::open(&dir).unwrap());
+        assert_eq!(expected.1.as_deref(), Some(&b"v2"[..]));
+        assert_eq!(expected.5.len(), 2);
+        let manifest = dir.join("MANIFEST.json");
+        let full = fs::read(&manifest).unwrap();
+        let damage: [Option<&[u8]>; 4] = [
+            None,
+            Some(&full[..full.len() / 2]),
+            Some(b"\x00\xffnot json {\"migrated\": true, \"last_seq\": 99"),
+            Some(b""),
+        ];
+        for bytes in damage {
+            match bytes {
+                None => fs::remove_file(&manifest).unwrap(),
+                Some(b) => fs::write(&manifest, b).unwrap(),
+            }
+            assert_eq!(answers(&Spine::open(&dir).unwrap()), expected);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -140,45 +140,6 @@ pub fn snapshot() -> TierSnapshot {
     }
 }
 
-impl TierSnapshot {
-    /// Serialize as a flat JSON object (hand-rolled: this crate is
-    /// dependency-free and sits below the workspace JSON helpers).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                " \"faults\": {},\n",
-                " \"evictions\": {},\n",
-                " \"writebacks\": {},\n",
-                " \"writeback_batches\": {},\n",
-                " \"writeback_ns\": {},\n",
-                " \"spilled_loads\": {},\n",
-                " \"resident_hits\": {},\n",
-                " \"zero_drops\": {},\n",
-                " \"spill_bytes\": {},\n",
-                " \"resident_pages\": {},\n",
-                " \"resident_peak\": {},\n",
-                " \"resident_peak_per_instance\": {},\n",
-                " \"spilled_pages\": {}\n",
-                "}}"
-            ),
-            self.faults,
-            self.evictions,
-            self.writebacks,
-            self.writeback_batches,
-            self.writeback_ns,
-            self.spilled_loads,
-            self.resident_hits,
-            self.zero_drops,
-            self.spill_bytes,
-            self.resident_pages,
-            self.resident_peak,
-            self.resident_peak_per_instance,
-            self.spilled_pages,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,14 +166,5 @@ mod tests {
         assert!(after.resident_hits >= before.resident_hits + 10);
         assert!(after.zero_drops > before.zero_drops);
         assert!(after.resident_peak >= 1);
-    }
-
-    #[test]
-    fn snapshot_serializes_as_json() {
-        let j = snapshot().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"resident_peak_per_instance\""));
-        // Balanced quotes, one key per line.
-        assert_eq!(j.matches(':').count(), 13);
     }
 }

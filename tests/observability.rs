@@ -54,13 +54,13 @@ fn chrome_trace_has_complete_spans_on_every_core_track() {
     // The JSON text form is loadable: our own parser accepts it and the
     // document has the trace-event envelope.
     let text = chrome.to_json();
-    let doc = cwsp_bench::json::parse(&text).expect("trace JSON parses");
+    let doc = cwsp::obs::json::parse(&text).expect("trace JSON parses");
     let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
     assert!(!events.is_empty());
     for e in events {
         assert_eq!(e.get("pid").unwrap().as_u64(), Some(PID));
         let ph = e.get("ph").unwrap();
-        if matches!(ph, cwsp_bench::json::Value::Str(s) if s == "X") {
+        if matches!(ph, cwsp::obs::json::Value::Str(s) if s == "X") {
             assert!(e.get("dur").unwrap().as_u64().unwrap() >= 1);
         }
     }

@@ -11,10 +11,10 @@
 
 use cwsp::compiler::autofence;
 use cwsp::compiler::pipeline::{CompileOptions, CwspCompiler};
+use cwsp::ir::fxhash::FxHasher;
 use cwsp::ir::Module;
 use cwsp::obs::forensics::MachineFrontier;
 use cwsp::sim::config::SimConfig;
-use cwsp::sim::hash::FxHasher;
 use cwsp::sim::machine::{Machine, RunEnd};
 use cwsp::sim::scheme::{CwspFeatures, Scheme};
 use cwsp::sim::stats::SimStats;
