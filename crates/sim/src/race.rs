@@ -429,8 +429,17 @@ pub fn run_schedule(
     })
 }
 
+/// Host thread count for the seed sweep: `CWSP_MC_THREADS` if set (≥ 1),
+/// else available parallelism. Read per call so tests can vary the variable.
+fn default_threads() -> usize {
+    let var = std::env::var("CWSP_MC_THREADS").ok();
+    var.and_then(|v| v.parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Sweep `cfg.schedules` seeded interleavings and union the races found.
-/// Schedules fan out over [`crate::threaded::default_threads`] host threads
+/// Schedules fan out over [`default_threads`] host threads
 /// (`CWSP_MC_THREADS`); each schedule is an independent seeded replay and the
 /// findings merge in seed order, so the report is byte-identical at any
 /// thread count.
@@ -439,7 +448,7 @@ pub fn run_schedule(
 /// Propagates the first interpreter trap from any schedule (lowest seed
 /// index wins when several trap).
 pub fn check_module(module: &Module, cfg: &OracleConfig) -> Result<OracleReport, InterpError> {
-    check_module_threaded(module, cfg, crate::threaded::default_threads())
+    check_module_threaded(module, cfg, default_threads())
 }
 
 /// [`check_module`] with an explicit host thread count (for tests that pin
