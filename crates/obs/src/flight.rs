@@ -230,12 +230,33 @@ pub fn publish(reg: &mut crate::Registry) {
     reg.add_counter("flight.dropped", s.dropped);
 }
 
-/// Whether `CWSP_FLIGHT` asks for the recorder (`1`/`on`/`true`/`yes`).
+/// A variable's value, non-UTF-8 bytes replaced (so they fail to parse
+/// rather than read as unset).
+fn env_var(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Parse a `CWSP_FLIGHT` value: `1`/`on`/`true`/`yes` ask for the recorder;
+/// `0`/`off`/`false`/`no`, empty or unset leave it off.
+///
+/// # Errors
+/// Any other value, with the variable named.
+pub fn parse_enabled(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("" | "0" | "off" | "false" | "no") => Ok(false),
+        Some("1" | "on" | "true" | "yes") => Ok(true),
+        Some(v) => Err(format!(
+            "CWSP_FLIGHT={v:?}: expected 1/on/true/yes or 0/off/false/no"
+        )),
+    }
+}
+
+/// Whether `CWSP_FLIGHT` asks for the recorder.
+///
+/// # Panics
+/// On a value [`parse_enabled`] rejects.
 pub fn enabled_by_env() -> bool {
-    matches!(
-        std::env::var("CWSP_FLIGHT").as_deref(),
-        Ok("1") | Ok("on") | Ok("true") | Ok("yes")
-    )
+    parse_enabled(env_var("CWSP_FLIGHT").as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The journal directory requested by `CWSP_FLIGHT_DIR`, if any. When set,
@@ -310,14 +331,37 @@ impl FlightRecorder {
         Ok(rec)
     }
 
-    /// A recorder only if `CWSP_FLIGHT` asks for one (and the journal file
-    /// could be created) — the zero-cost-off gate.
-    pub fn from_env() -> Option<FlightRecorder> {
-        if enabled_by_env() {
-            FlightRecorder::create().ok()
-        } else {
-            None
+    /// The recorder that a `CWSP_FLIGHT` value of `flight` and a
+    /// `CWSP_FLIGHT_DIR` of `dir` ask for; `None` when off.
+    ///
+    /// # Errors
+    /// A `CWSP_FLIGHT` value [`parse_enabled`] rejects, or a journal that
+    /// cannot be created; the message names the variable at fault.
+    pub fn from_vars(
+        flight: Option<&str>,
+        dir: Option<&Path>,
+    ) -> Result<Option<FlightRecorder>, String> {
+        if !parse_enabled(flight)? {
+            return Ok(None);
         }
+        FlightRecorder::build(dir).map(Some).map_err(|e| match dir {
+            Some(d) => format!(
+                "CWSP_FLIGHT_DIR={}: cannot create the journal: {e}",
+                d.display()
+            ),
+            None => format!("CWSP_FLIGHT: cannot create the journal's spill file: {e}"),
+        })
+    }
+
+    /// A recorder only if `CWSP_FLIGHT` asks for one — the zero-cost-off
+    /// gate.
+    ///
+    /// # Panics
+    /// When [`FlightRecorder::from_vars`] fails: a broken flight setup is
+    /// never silently dropped.
+    pub fn from_env() -> Option<FlightRecorder> {
+        FlightRecorder::from_vars(env_var("CWSP_FLIGHT").as_deref(), journal_dir().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Shrink the page budget (tests exercise the drop path cheaply).
@@ -567,5 +611,36 @@ mod tests {
         let mut reg = crate::Registry::new();
         publish(&mut reg);
         assert!(reg.counter_value("flight.records") >= after.records);
+    }
+
+    #[test]
+    fn broken_flight_setup_is_an_error_naming_the_variable() {
+        assert_eq!(parse_enabled(None), Ok(false));
+        for (v, on) in [("", false), ("0", false), ("off", false), ("no", false)] {
+            assert_eq!(parse_enabled(Some(v)), Ok(on));
+        }
+        for v in ["1", "on", "true", "yes"] {
+            assert_eq!(parse_enabled(Some(v)), Ok(true));
+        }
+        for v in ["2", "ON", " 1", "false "] {
+            let e = parse_enabled(Some(v)).expect_err(v);
+            assert!(e.starts_with("CWSP_FLIGHT="), "{e}");
+        }
+        // A journal directory below a regular file cannot be created.
+        let file = std::env::temp_dir().join(format!("cwsp-flight-file-{}", std::process::id()));
+        std::fs::write(&file, b"x").unwrap();
+        let bad = file.join("journals");
+        let e = FlightRecorder::from_vars(Some("1"), Some(&bad)).err();
+        let e = e.expect("an uncreatable journal is an error");
+        assert!(
+            e.starts_with("CWSP_FLIGHT_DIR=") && e.contains("journals"),
+            "{e}"
+        );
+        // Off never touches the directory.
+        let off = FlightRecorder::from_vars(Some("off"), Some(&bad));
+        assert!(matches!(off, Ok(None)));
+        let on = FlightRecorder::from_vars(Some("yes"), None);
+        assert!(matches!(on, Ok(Some(_))));
+        let _ = std::fs::remove_file(&file);
     }
 }
