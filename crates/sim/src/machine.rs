@@ -28,7 +28,7 @@ use cwsp_ir::memory::Memory;
 use cwsp_ir::module::Module;
 use cwsp_ir::types::{DynRegionId, RegionId, Word};
 use cwsp_ir::{BlockId, FuncId, Inst};
-use cwsp_obs::flight::{FlightKind, FlightRecord, FlightRecorder, REGION_NONE};
+use cwsp_obs::flight::{FlightRecord, FlightRecorder};
 use cwsp_obs::forensics::{CoreFrontier, MachineFrontier};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -148,16 +148,14 @@ pub struct Machine<'m> {
     stats: SimStats,
     device: IoDevice,
     resume_meta: Vec<(ResumePoint, Option<RegionId>)>,
+    /// The two consumers of [`Machine::note`]: the trace ring and the
+    /// crash-survivable flight journal.
     trace: Option<Trace>,
-    profiler: Option<CycleProfiler>,
-    /// Crash-survivable flight recorder (persist-path event journal). `None`
-    /// keeps every hook to a single predicted-not-taken branch.
     flight: Option<FlightRecorder>,
+    profiler: Option<CycleProfiler>,
     /// Shadow of each core's persisted resume region (the RBT head's dynamic
     /// id at the last metadata write) — survives an empty RBT at the crash.
     resume_dyn: Vec<Option<u64>>,
-    /// Reused scratch for [`MemoryController::tick_drained`] output.
-    nvm_drained: Vec<(Word, DynRegionId)>,
     /// Fused superblock dispatch (see [`cwsp_ir::decoded::fuse_enabled`]).
     /// A pure dispatch strategy: results and statistics are byte-identical
     /// with it on or off.
@@ -268,7 +266,7 @@ impl<'m> Machine<'m> {
         // its slot for a fraction of the raw media write latency.
         let drain = (cfg.main_memory.write_cycles() / 32).max(2);
         let mcs = (0..cfg.mem_controllers)
-            .map(|i| MemoryController::new(i, cfg.wpq_entries, drain, drain))
+            .map(|_| MemoryController::new(cfg.wpq_entries, drain, drain))
             .collect();
         // cWSP's granularity is configurable (the §V-A2 8-byte vs 64-byte
         // ablation); cacheline schemes are fixed at 64 bytes.
@@ -298,10 +296,9 @@ impl<'m> Machine<'m> {
             device: IoDevice::new(),
             resume_meta,
             trace: None,
-            profiler: None,
             flight: FlightRecorder::from_env(),
+            profiler: None,
             resume_dyn: vec![None; cfg.cores],
-            nvm_drained: Vec::new(),
             fuse: cwsp_ir::decoded::fuse_enabled(),
             uses_rbt: scheme.uses_persist_path() && matches!(scheme, Scheme::Cwsp(_)),
             wb_delay_on: matches!(scheme, Scheme::Cwsp(f) if f.wb_delay && f.persist_path),
@@ -500,11 +497,28 @@ impl<'m> Machine<'m> {
             .map(|t| t.to_chrome(self.cores.len(), self.mcs.len()))
     }
 
+    /// The one hook for persist-lineage facts (and stall spans): record `e`
+    /// in every attached consumer. One branch (`|`, not `||`) when none is
+    /// attached.
     #[inline]
-    fn emit(&mut self, e: Event) {
+    fn note(&mut self, e: Event) {
+        if self.trace.is_some() | self.flight.is_some() {
+            self.record(e);
+        }
+    }
+
+    fn record(&mut self, e: Event) {
         if let Some(t) = &mut self.trace {
             t.record(e);
         }
+        if let (Some(f), Some(r)) = (&mut self.flight, e.flight_record()) {
+            f.record(r);
+        }
+    }
+
+    /// The function core `i` is executing, for lineage attribution.
+    fn func_of(&self, i: usize) -> Option<FuncId> {
+        self.cores[i].interp.position().map(|rp| rp.func)
     }
 
     /// Note one traced stall cycle on core `i`, coalescing consecutive
@@ -517,44 +531,27 @@ impl<'m> Machine<'m> {
         }
         // The draining region is the RBT head (oldest unpersisted); fall
         // back to the open tail for stalls before anything is in flight.
-        let region = {
-            let rbt = &self.cores[i].rbt;
-            rbt.head()
-                .map(|e| e.dyn_id)
-                .or_else(|| rbt.tail().map(|e| e.dyn_id))
-        };
-        let cycle = self.cycle;
-        let prev = {
-            let slot = &mut self.cores[i].open_stall;
-            match slot {
-                Some(s) if s.kind == kind && s.region == region => {
-                    s.cycles += 1;
-                    None
-                }
-                _ => slot.replace(OpenStall {
+        let rbt = &self.cores[i].rbt;
+        let region = rbt.head().or_else(|| rbt.tail()).map(|e| e.dyn_id);
+        match &mut self.cores[i].open_stall {
+            Some(s) if s.kind == kind && s.region == region => s.cycles += 1,
+            _ => {
+                self.flush_stall(i);
+                self.cores[i].open_stall = Some(OpenStall {
                     kind,
                     region,
-                    start: cycle,
+                    start: self.cycle,
                     cycles: 1,
-                }),
+                });
             }
-        };
-        if let Some(p) = prev {
-            self.emit(Event::Stall {
-                cycle: p.start,
-                core: i,
-                kind: p.kind,
-                region: p.region,
-                cycles: p.cycles,
-            });
         }
     }
 
-    /// Flush core `i`'s in-progress stall span into the ring (the stall
-    /// ended: the core issued, or the run is ending).
+    /// Complete core `i`'s in-progress stall span (the stall ended: the
+    /// core issued, stalled differently, or the run is ending).
     fn flush_stall(&mut self, i: usize) {
         if let Some(p) = self.cores[i].open_stall.take() {
-            self.emit(Event::Stall {
+            self.note(Event::Stall {
                 cycle: p.start,
                 core: i,
                 kind: p.kind,
@@ -629,38 +626,24 @@ impl<'m> Machine<'m> {
         crash_at_cycle: Option<u64>,
     ) -> Result<RunResult, InterpError> {
         loop {
-            if let Some(c) = crash_at_cycle {
-                if self.cycle >= c {
-                    self.flush_all_stalls();
-                    self.emit(Event::PowerFailure { cycle: self.cycle });
-                    if let Some(f) = &mut self.flight {
-                        f.record(FlightRecord::new(FlightKind::PowerFail, self.cycle));
-                        f.seal();
-                    }
-                    self.finalize_stats();
-                    return Ok(RunResult {
-                        end: RunEnd::PowerFailure,
-                        stats: self.stats.clone(),
-                    });
-                }
-            }
-            if self.stats.insts >= max_insts {
+            let end = if crash_at_cycle.is_some_and(|c| self.cycle >= c) {
+                self.flush_all_stalls();
+                self.note(Event::PowerFailure { cycle: self.cycle });
+                Some(RunEnd::PowerFailure)
+            } else if self.stats.insts >= max_insts {
+                Some(RunEnd::InstLimit)
+            } else if self.all_done() {
+                Some(RunEnd::Completed)
+            } else {
+                None
+            };
+            if let Some(end) = end {
                 if let Some(f) = &mut self.flight {
                     f.seal();
                 }
                 self.finalize_stats();
                 return Ok(RunResult {
-                    end: RunEnd::InstLimit,
-                    stats: self.stats.clone(),
-                });
-            }
-            if self.all_done() {
-                if let Some(f) = &mut self.flight {
-                    f.seal();
-                }
-                self.finalize_stats();
-                return Ok(RunResult {
-                    end: RunEnd::Completed,
+                    end,
                     stats: self.stats.clone(),
                 });
             }
@@ -791,69 +774,38 @@ impl<'m> Machine<'m> {
 
         // --- persist machinery ---
         self.path.tick();
-        if self.flight.is_some() {
-            // Recorder attached: observe each drained WPQ slot as an NVM
-            // media commit. The plain `tick` below stays on the hot path.
-            let mut drained = std::mem::take(&mut self.nvm_drained);
-            for mi in 0..self.mcs.len() {
-                drained.clear();
-                self.mcs[mi].tick_drained(cycle, &mut drained);
-                if let Some(f) = &mut self.flight {
-                    for &(addr, region) in &drained {
-                        let mut r = FlightRecord::new(FlightKind::NvmCommit, cycle);
-                        r.mc = mi as u8;
-                        r.addr = addr;
-                        r.region = region.0;
-                        f.record(r);
-                    }
-                }
-            }
-            self.nvm_drained = drained;
-        } else {
-            for mc in &mut self.mcs {
-                mc.tick(cycle);
+        for mc in 0..self.mcs.len() {
+            while let Some((addr, region)) = self.mcs[mc].tick(cycle) {
+                self.note(Event::NvmCommit {
+                    cycle,
+                    mc,
+                    region,
+                    addr,
+                });
             }
         }
         // Path arrivals → WPQ (FIFO; head-of-line blocks on a full WPQ).
         while let Some(e) = self.path.peek_arrival(cycle).copied() {
-            let logs_before = if self.trace.is_some() || self.flight.is_some() {
-                self.mcs[e.mc].log_appends
-            } else {
-                0
-            };
             let accepted = if self.cacheline_scheme {
                 // Line payloads are not materialized; charge timing only.
-                self.mcs[e.mc].accept_timing_only(cycle, e.region, e.addr)
+                self.mcs[e.mc]
+                    .accept_timing_only(cycle, e.region, e.addr)
+                    .then_some(false)
             } else {
                 self.mcs[e.mc].accept(cycle, e.region, e.addr, e.data, e.log_bit, &mut self.nvm)
             };
-            if !accepted {
+            let Some(logged) = accepted else {
                 break;
-            }
+            };
             self.path.pop_arrival();
-            if self.trace.is_some() && self.mcs[e.mc].log_appends > logs_before {
-                self.emit(Event::UndoLogged {
-                    cycle,
-                    mc: e.mc,
-                    region: e.region,
-                    addr: e.addr,
-                });
-            }
-            self.emit(Event::PersistArrive {
+            self.note(Event::PersistArrive {
                 cycle,
+                core: e.core,
                 mc: e.mc,
                 region: e.region,
                 addr: e.addr,
+                logged,
             });
-            if let Some(f) = &mut self.flight {
-                let mut r = FlightRecord::new(FlightKind::WpqEnqueue, cycle);
-                r.core = e.core as u8;
-                r.mc = e.mc as u8;
-                r.logged = self.mcs[e.mc].log_appends > logs_before;
-                r.addr = e.addr;
-                r.region = e.region.0;
-                f.record(r);
-            }
             let core = &mut self.cores[e.core];
             core.pb.complete(e.pb_seq);
             core.rbt.on_ack(e.region);
@@ -883,17 +835,11 @@ impl<'m> Machine<'m> {
             while let Some(retired) = self.cores[i].rbt.try_retire() {
                 // Release the region's I/O redo buffer to the device (§VIII).
                 self.device.flush_region(retired.dyn_id);
-                self.emit(Event::RegionRetire {
+                self.note(Event::RegionRetire {
                     cycle,
                     core: i,
                     region: retired.dyn_id,
                 });
-                if let Some(f) = &mut self.flight {
-                    let mut r = FlightRecord::new(FlightKind::RegionClose, cycle);
-                    r.core = i as u8;
-                    r.region = retired.dyn_id.0;
-                    f.record(r);
-                }
                 if let Some(h) = self.cores[i].rbt.head() {
                     let hid = h.dyn_id;
                     for mc in &mut self.mcs {
@@ -1048,17 +994,11 @@ impl<'m> Machine<'m> {
             if self.cores[i].wb.has_space() {
                 self.cores[i].wb.push(line);
                 self.cores[i].pending_evictions.pop_front();
-                self.emit(Event::WbEnqueue {
+                self.note(Event::WbEnqueue {
                     cycle,
                     core: i,
                     line,
                 });
-                if let Some(f) = &mut self.flight {
-                    let mut r = FlightRecord::new(FlightKind::LineEvict, cycle);
-                    r.core = i as u8;
-                    r.addr = line;
-                    f.record(r);
-                }
             } else {
                 self.stats.stall_wb += 1;
                 self.note_stall(i, StallKind::Wb);
@@ -1089,23 +1029,13 @@ impl<'m> Machine<'m> {
                     core.rbt.on_store(self.cfg.mc_of(addr));
                 }
                 core.pending_pb.pop_front();
-                self.emit(Event::PersistIssue {
+                self.note(Event::PersistIssue {
                     cycle,
                     core: i,
+                    func: self.func_of(i),
                     region,
                     addr,
                 });
-                if let Some(f) = &mut self.flight {
-                    // Issue-order journal entry with (function, region)
-                    // attribution — the spine of the persist lineage.
-                    let func = self.cores[i].interp.position().map(|rp| rp.func.0);
-                    let mut r = FlightRecord::new(FlightKind::StoreIssue, cycle);
-                    r.core = i as u8;
-                    r.func = func;
-                    r.addr = addr;
-                    r.region = region.0;
-                    f.record(r);
-                }
             } else {
                 self.stats.stall_pb += 1;
                 self.note_stall(i, StallKind::Pb);
@@ -1146,17 +1076,11 @@ impl<'m> Machine<'m> {
                 if was_empty {
                     self.write_meta(i);
                 }
-                self.emit(Event::RegionOpen {
-                    cycle: self.cycle,
+                self.note(Event::RegionOpen {
+                    cycle,
                     core: i,
                     region: dyn_id,
                 });
-                if let Some(f) = &mut self.flight {
-                    let mut r = FlightRecord::new(FlightKind::RegionOpen, self.cycle);
-                    r.core = i as u8;
-                    r.region = dyn_id.0;
-                    f.record(r);
-                }
             }
             self.cores[i].pending_boundary = None;
             self.stats.regions += 1;
@@ -1215,16 +1139,11 @@ impl<'m> Machine<'m> {
                 self.resume_meta[i] = (rp, sr);
                 self.write_meta(i);
             }
-            if let Some(f) = &mut self.flight {
-                // The committed sync advanced the resume point mid-region:
-                // journaled stores of this region issued before this record
-                // never replay.
-                let region = self.cores[i].rbt.head().map_or(REGION_NONE, |h| h.dyn_id.0);
-                let mut r = FlightRecord::new(FlightKind::SyncCommit, cycle);
-                r.core = i as u8;
-                r.region = region;
-                f.record(r);
-            }
+            self.note(Event::SyncCommit {
+                cycle,
+                core: i,
+                region: self.cores[i].rbt.head().map(|h| h.dyn_id),
+            });
         }
 
         // The stall (if any) ended: complete its coalesced trace span.
@@ -1284,16 +1203,13 @@ impl<'m> Machine<'m> {
                 cost = self.store_cost(i, a, v);
                 if eff.kind == EffectKind::Ckpt {
                     self.stats.ckpt_stores += 1;
-                    if let Some(f) = &mut self.flight {
-                        let func = self.cores[i].interp.position().map(|rp| rp.func.0);
-                        let region = self.cores[i].rbt.tail().map_or(REGION_NONE, |e| e.dyn_id.0);
-                        let mut r = FlightRecord::new(FlightKind::Checkpoint, self.cycle);
-                        r.core = i as u8;
-                        r.func = func;
-                        r.addr = a;
-                        r.region = region;
-                        f.record(r);
-                    }
+                    self.note(Event::Checkpoint {
+                        cycle: self.cycle,
+                        core: i,
+                        func: self.func_of(i),
+                        region: self.cores[i].rbt.tail().map(|e| e.dyn_id),
+                        addr: a,
+                    });
                 } else {
                     self.stats.stores += 1;
                 }
@@ -1656,40 +1572,20 @@ mod tests {
             m
         }
 
-        /// The same module put through the real compiler pipeline.
+        /// The same loop with a region boundary before every store (cutting
+        /// its WAR), the shape the compiler would produce.
         pub fn compiled_looping_module(n: u64) -> Module {
-            // cwsp-compiler is a dependent crate; replicate the two passes we
-            // need inline is overkill — the sim crate tests only need region
-            // boundaries, which we insert by hand here.
             let mut m = looping_module(n);
-            // Insert a boundary at each loop-header block start by scanning
-            // for blocks targeted by back edges: cheap approximation — put a
-            // boundary before every store (cuts the WAR) and at block 1.
             let fid = m.entry().unwrap();
-            let f = m.function_mut(fid);
-            for block in &mut f.blocks {
-                let mut i = 0;
-                while i < block.insts.len() {
-                    if matches!(block.insts[i], Inst::Store { .. }) {
-                        block.insts.insert(
-                            i,
-                            Inst::Boundary {
-                                id: cwsp_ir::types::RegionId(u32::MAX),
-                            },
-                        );
-                        i += 1;
-                    }
-                    i += 1;
-                }
-            }
-            // Renumber.
             let mut next = 0;
             for block in &mut m.function_mut(fid).blocks {
-                for inst in &mut block.insts {
-                    if let Inst::Boundary { id } = inst {
-                        *id = cwsp_ir::types::RegionId(next);
+                for inst in std::mem::take(&mut block.insts) {
+                    if matches!(inst, Inst::Store { .. }) {
+                        let id = cwsp_ir::types::RegionId(next);
+                        block.insts.push(Inst::Boundary { id });
                         next += 1;
                     }
+                    block.insts.push(inst);
                 }
             }
             m
@@ -1835,6 +1731,44 @@ mod tests {
     }
 
     #[test]
+    fn trace_records_region_lifecycle_and_crash() {
+        let m = compiled_looping_module(30);
+        let cfg_ = small_cfg();
+        let mut machine = Machine::new(&m, &cfg_, Scheme::cwsp());
+        machine.enable_trace(1 << 16);
+        machine.enable_flight().unwrap();
+        let r = machine.run(u64::MAX, Some(400)).unwrap();
+        assert_eq!(r.end, RunEnd::PowerFailure);
+        let t = machine.trace().expect("tracing enabled");
+        assert!(!t.is_empty());
+        let count = |f: fn(&Event) -> bool| t.events().filter(|e| f(e)).count();
+        let opened = count(|e| matches!(e, Event::RegionOpen { .. }));
+        let arrived = count(|e| matches!(e, Event::PersistArrive { .. }));
+        assert!(
+            opened > 0 && arrived > 0,
+            "opened={opened} arrived={arrived}"
+        );
+        assert!(count(|e| matches!(e, Event::RegionRetire { .. })) <= opened);
+        assert_eq!(count(|e| matches!(e, Event::PowerFailure { .. })), 1);
+        // PB issues are traced now that stores route through the machinery.
+        assert!(count(|e| matches!(e, Event::PersistIssue { .. })) > 0);
+        // The tail renders human-readable lines for post-mortems.
+        assert!(t.tail(5).contains("POWER FAILURE"));
+        // Cycles are monotone in the ring for point events (stall spans are
+        // recorded when they *end* but stamped with their start cycle, so
+        // they may appear after later point events).
+        let cycles: Vec<u64> = t
+            .events()
+            .filter(|e| !matches!(e, Event::Stall { .. }))
+            .map(|e| e.cycle())
+            .collect();
+        assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
+        // The flight journal reads the same event stream as the ring.
+        let ring: Vec<FlightRecord> = t.events().filter_map(Event::flight_record).collect();
+        assert_eq!(ring, machine.flight_records());
+    }
+
+    #[test]
     fn multicore_steps_all_cores() {
         let m = looping_module(50);
         let mut cfg = small_cfg();
@@ -1851,96 +1785,10 @@ mod tests {
 }
 
 #[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use crate::scheme::Scheme;
-    use crate::trace::Event;
-    use cwsp_ir::builder::{build_counted_loop, FunctionBuilder};
-    use cwsp_ir::inst::{BinOp, Inst, MemRef, Operand};
-
-    #[test]
-    fn trace_records_region_lifecycle_and_crash() {
-        let mut m = Module::new("t");
-        let g = m.add_global("g", 1);
-        let mut b = FunctionBuilder::new("main", 0);
-        let e = b.entry();
-        let (_, exit) = build_counted_loop(&mut b, e, Operand::imm(30), |b, bb, i| {
-            let v = b.load(bb, MemRef::global(g, 0));
-            let s = b.bin(bb, BinOp::Add, v.into(), i.into());
-            b.store(bb, s.into(), MemRef::global(g, 0));
-        });
-        b.push(exit, Inst::Halt);
-        let f = m.add_function(b.build());
-        m.set_entry(f);
-        // Hand-place a boundary per iteration like the compiler would.
-        let fm = m.function_mut(m.entry().unwrap());
-        for block in &mut fm.blocks {
-            let mut i = 0;
-            while i < block.insts.len() {
-                if matches!(block.insts[i], Inst::Store { .. }) {
-                    block.insts.insert(
-                        i,
-                        Inst::Boundary {
-                            id: cwsp_ir::types::RegionId(0),
-                        },
-                    );
-                    i += 1;
-                }
-                i += 1;
-            }
-        }
-        let cfg_ = SimConfig::default();
-        let mut machine = Machine::new(&m, &cfg_, Scheme::cwsp());
-        machine.enable_trace(256);
-        let r = machine.run(u64::MAX, Some(400)).unwrap();
-        assert_eq!(r.end, RunEnd::PowerFailure);
-        let t = machine.trace().expect("tracing enabled");
-        assert!(!t.is_empty());
-        let mut opened = 0;
-        let mut retired = 0;
-        let mut arrived = 0;
-        let mut failed = 0;
-        for e in t.events() {
-            match e {
-                Event::RegionOpen { .. } => opened += 1,
-                Event::RegionRetire { .. } => retired += 1,
-                Event::PersistArrive { .. } => arrived += 1,
-                Event::PowerFailure { .. } => failed += 1,
-                _ => {}
-            }
-        }
-        assert!(
-            opened > 0 && arrived > 0,
-            "opened={opened} arrived={arrived}"
-        );
-        assert!(retired <= opened);
-        assert_eq!(failed, 1);
-        // The tail renders human-readable lines for post-mortems.
-        assert!(t.tail(5).contains("POWER FAILURE"));
-        // Cycles are monotone in the ring for point events (stall spans are
-        // recorded when they *end* but stamped with their start cycle, so
-        // they may appear after later point events).
-        let cycles: Vec<u64> = t
-            .events()
-            .filter(|e| !matches!(e, Event::Stall { .. }))
-            .map(|e| e.cycle())
-            .collect();
-        assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
-        // PB issues are traced now that stores route through the machinery.
-        assert!(
-            t.events().any(|e| matches!(e, Event::PersistIssue { .. })),
-            "no PersistIssue events traced"
-        );
-    }
-}
-
-#[cfg(test)]
 mod iodevice_tests {
     use super::*;
-    use crate::scheme::Scheme;
     use cwsp_ir::builder::FunctionBuilder;
     use cwsp_ir::inst::{Inst, MemRef, Operand};
-    use cwsp_ir::types::RegionId;
 
     #[test]
     fn output_is_held_until_its_region_persists() {
@@ -2015,10 +1863,8 @@ mod iodevice_tests {
 mod stale_read_tests {
     use super::*;
     use crate::config::CacheParams;
-    use crate::scheme::Scheme;
     use cwsp_ir::builder::FunctionBuilder;
     use cwsp_ir::inst::{Inst, MemRef, Operand};
-    use cwsp_ir::types::RegionId;
 
     /// Construct the §II-A race: a store's dirty line is evicted from a tiny
     /// L1 while its persist is still crawling down a slow path. The WB-delay
@@ -2086,10 +1932,8 @@ mod stale_read_tests {
 mod wpq_delay_tests {
     use super::*;
     use crate::config::{CacheParams, CxlDevice, MainMemory};
-    use crate::scheme::Scheme;
     use cwsp_ir::builder::FunctionBuilder;
     use cwsp_ir::inst::{Inst, MemRef, Operand};
-    use cwsp_ir::types::RegionId;
 
     /// §V-A2: a load that misses the whole hierarchy while its word still
     /// sits in a WPQ must wait for the entry to drain (counted as a WPQ hit,

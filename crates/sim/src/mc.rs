@@ -25,7 +25,6 @@ struct WpqSlot {
 /// A single memory controller.
 #[derive(Debug, Clone)]
 pub struct MemoryController {
-    id: usize,
     wpq_cap: usize,
     wpq: VecDeque<WpqSlot>,
     /// Undo-log records `(region, addr, old value)` in MC-local NVM: the
@@ -48,9 +47,8 @@ pub struct MemoryController {
 
 impl MemoryController {
     /// A controller with `wpq_cap` slots and the given drain costs.
-    pub fn new(id: usize, wpq_cap: usize, drain_cycles: u64, log_extra_cycles: u64) -> Self {
+    pub fn new(wpq_cap: usize, drain_cycles: u64, log_extra_cycles: u64) -> Self {
         MemoryController {
-            id,
             wpq_cap,
             wpq: VecDeque::new(),
             logs: Vec::new(),
@@ -61,11 +59,6 @@ impl MemoryController {
             log_appends: 0,
             nvm_writes: 0,
         }
-    }
-
-    /// This controller's id.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// Whether a new arrival can be accepted.
@@ -79,7 +72,8 @@ impl MemoryController {
     }
 
     /// Accept a store at `cycle`, applying the failure-atomic log+write to the
-    /// NVM image. Returns `false` (and does nothing) when the WPQ is full.
+    /// NVM image. Returns whether an undo-log record was appended for it, or
+    /// `None` (having done nothing) when the WPQ is full.
     pub fn accept(
         &mut self,
         cycle: u64,
@@ -88,51 +82,40 @@ impl MemoryController {
         data: Word,
         log_bit: bool,
         nvm: &mut Memory,
-    ) -> bool {
-        self.accept_inner(cycle, region, addr, data, log_bit, nvm, true)
+    ) -> Option<bool> {
+        if !self.wpq_has_space() {
+            return None;
+        }
+        let speculative = log_bit && self.nonspec_horizon.is_none_or(|h| region > h);
+        if speculative {
+            self.logs.push((region, addr, nvm.load(addr)));
+            self.log_appends += 1;
+            self.nvm_writes += 2; // log record: address + old value
+        }
+        nvm.store(addr, data);
+        self.enqueue(cycle, region, addr, speculative);
+        Some(speculative)
     }
 
     /// Timing-only acceptance: occupies a WPQ slot and charges drain time but
     /// does not touch the NVM image (used for cacheline schemes whose line
-    /// payloads the simulator does not materialize).
+    /// payloads the simulator does not materialize). Returns `false` when
+    /// the WPQ is full.
     pub fn accept_timing_only(&mut self, cycle: u64, region: DynRegionId, addr: Word) -> bool {
-        let mut scratch = Memory::new();
-        let ok = self.accept_inner(cycle, region, addr, 0, false, &mut scratch, false);
-        if ok {
-            // A cacheline entry writes 8 data words plus an 8-word redo/undo
-            // log record (Capri's §II-D write amplification); accept_inner
-            // counted one word already.
-            self.nvm_writes += 15;
-        }
-        ok
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn accept_inner(
-        &mut self,
-        cycle: u64,
-        region: DynRegionId,
-        addr: Word,
-        data: Word,
-        log_bit: bool,
-        nvm: &mut Memory,
-        apply: bool,
-    ) -> bool {
         if !self.wpq_has_space() {
             return false;
         }
-        let speculative = log_bit && self.nonspec_horizon.is_none_or(|h| region > h);
-        let mut cost = self.drain_cycles;
-        if speculative {
-            let old = nvm.load(addr);
-            self.logs.push((region, addr, old));
-            self.log_appends += 1;
-            self.nvm_writes += 2; // log record: address + old value
-            cost += self.log_extra_cycles;
-        }
-        if apply {
-            nvm.store(addr, data);
-        }
+        // A cacheline entry writes 8 data words plus an 8-word redo/undo log
+        // record (Capri's §II-D write amplification); `enqueue` counts one.
+        self.nvm_writes += 15;
+        self.enqueue(cycle, region, addr, false);
+        true
+    }
+
+    /// Queue an accepted entry behind the media pipeline; a `logged` entry
+    /// also drains its undo-log record.
+    fn enqueue(&mut self, cycle: u64, region: DynRegionId, addr: Word, logged: bool) {
+        let cost = self.drain_cycles + if logged { self.log_extra_cycles } else { 0 };
         self.nvm_writes += 1;
         let start = self.media_free_at.max(cycle);
         self.media_free_at = start + cost;
@@ -141,25 +124,16 @@ impl MemoryController {
             region,
             free_at: start + cost,
         });
-        true
     }
 
-    /// Free drained slots at `cycle`.
-    pub fn tick(&mut self, cycle: u64) {
-        while self.wpq.front().is_some_and(|s| s.free_at <= cycle) {
-            self.wpq.pop_front();
-        }
-    }
-
-    /// Like [`MemoryController::tick`], but reports each drained slot's
-    /// (addr, region) into `out` — the flight recorder's NVM-commit hook.
-    /// Only called when a recorder is attached; the plain `tick` stays on
-    /// the recorder-off hot path.
-    pub fn tick_drained(&mut self, cycle: u64, out: &mut Vec<(Word, DynRegionId)>) {
-        while self.wpq.front().is_some_and(|s| s.free_at <= cycle) {
-            let s = self.wpq.pop_front().unwrap();
-            out.push((s.addr, s.region));
-        }
+    /// Free the oldest slot that has drained to media by `cycle`, returning
+    /// its (addr, region) — an NVM media commit. Call until `None` to free
+    /// every drained slot.
+    pub fn tick(&mut self, cycle: u64) -> Option<(Word, DynRegionId)> {
+        let s = self.wpq.front().filter(|s| s.free_at <= cycle)?;
+        let drained = (s.addr, s.region);
+        self.wpq.pop_front();
+        Some(drained)
     }
 
     /// The (addr, region) of every slot still queued for media, in arrival
@@ -211,20 +185,23 @@ mod tests {
     use super::*;
 
     fn mc() -> MemoryController {
-        MemoryController::new(0, 2, 10, 10)
+        MemoryController::new(2, 10, 10)
     }
 
     #[test]
     fn accept_writes_nvm_and_occupies_slot() {
         let mut m = mc();
         let mut nvm = Memory::new();
-        assert!(m.accept(0, DynRegionId(1), 64, 7, false, &mut nvm));
+        assert_eq!(
+            m.accept(0, DynRegionId(1), 64, 7, false, &mut nvm),
+            Some(false)
+        );
         assert_eq!(nvm.load(64), 7);
         assert_eq!(m.wpq_occupancy(), 1);
         assert_eq!(m.nvm_writes, 1);
-        m.tick(9);
+        assert_eq!(m.tick(9), None);
         assert_eq!(m.wpq_occupancy(), 1, "drain takes 10 cycles");
-        m.tick(10);
+        assert_eq!(m.tick(10), Some((64, DynRegionId(1))), "media commit");
         assert_eq!(m.wpq_occupancy(), 0);
     }
 
@@ -232,9 +209,15 @@ mod tests {
     fn wpq_full_rejects() {
         let mut m = mc();
         let mut nvm = Memory::new();
-        assert!(m.accept(0, DynRegionId(1), 0, 1, false, &mut nvm));
-        assert!(m.accept(0, DynRegionId(1), 8, 2, false, &mut nvm));
-        assert!(!m.accept(0, DynRegionId(1), 16, 3, false, &mut nvm));
+        assert_eq!(
+            m.accept(0, DynRegionId(1), 0, 1, false, &mut nvm),
+            Some(false)
+        );
+        assert_eq!(
+            m.accept(0, DynRegionId(1), 8, 2, false, &mut nvm),
+            Some(false)
+        );
+        assert_eq!(m.accept(0, DynRegionId(1), 16, 3, false, &mut nvm), None);
         assert_eq!(nvm.load(16), 0, "rejected store does not reach NVM");
     }
 
@@ -243,7 +226,11 @@ mod tests {
         let mut m = mc();
         let mut nvm = Memory::new();
         nvm.store(64, 100);
-        assert!(m.accept(0, DynRegionId(2), 64, 200, true, &mut nvm));
+        assert_eq!(
+            m.accept(0, DynRegionId(2), 64, 200, true, &mut nvm),
+            Some(true),
+            "reported as logged"
+        );
         assert_eq!(nvm.load(64), 200, "in-place update");
         assert_eq!(m.log_appends, 1);
         assert_eq!(m.live_log_records(), 1);
@@ -252,7 +239,7 @@ mod tests {
 
     #[test]
     fn crash_revert_restores_in_reverse_order() {
-        let mut m = MemoryController::new(0, 8, 1, 1);
+        let mut m = MemoryController::new(8, 1, 1);
         let mut nvm = Memory::new();
         nvm.store(64, 1);
         // Region 2 then region 3 overwrite the same word speculatively.
@@ -270,7 +257,7 @@ mod tests {
         // Figure 10(c): str1 (region 1) and str2 (region 2) hit the same
         // address; append-only per-region logs must restore the ORIGINAL
         // value, not region 1's value.
-        let mut m = MemoryController::new(0, 8, 1, 1);
+        let mut m = MemoryController::new(8, 1, 1);
         let mut nvm = Memory::new();
         nvm.store(64, 100);
         m.accept(0, DynRegionId(1), 64, 150, true, &mut nvm); // logs old=100
@@ -281,14 +268,17 @@ mod tests {
 
     #[test]
     fn dealloc_makes_region_nonspeculative() {
-        let mut m = MemoryController::new(0, 8, 1, 1);
+        let mut m = MemoryController::new(8, 1, 1);
         let mut nvm = Memory::new();
         nvm.store(64, 1);
         m.accept(0, DynRegionId(2), 64, 2, true, &mut nvm);
         m.dealloc_logs_upto(DynRegionId(2));
         assert_eq!(m.live_log_records(), 0);
         // Late-arriving store of the promoted region is no longer logged.
-        m.accept(1, DynRegionId(2), 72, 9, true, &mut nvm);
+        assert_eq!(
+            m.accept(1, DynRegionId(2), 72, 9, true, &mut nvm),
+            Some(false)
+        );
         assert_eq!(m.log_appends, 1, "no new log");
         // Crash now reverts nothing: region 2's effects are in place and will
         // be re-executed from its entry.
@@ -301,7 +291,7 @@ mod tests {
         // Records of regions 5, 5, 3, 5, 4 (as from several cores) arrive
         // interleaved at one MC. The revert must apply region 5's records
         // newest first, then region 4's, then region 3's.
-        let mut m = MemoryController::new(0, 8, 1, 1);
+        let mut m = MemoryController::new(8, 1, 1);
         let mut nvm = Memory::new();
         nvm.store(64, 1);
         nvm.store(72, 2);
@@ -323,7 +313,7 @@ mod tests {
 
     #[test]
     fn dealloc_keeps_younger_regions_when_arrivals_are_out_of_order() {
-        let mut m = MemoryController::new(0, 8, 1, 1);
+        let mut m = MemoryController::new(8, 1, 1);
         let mut nvm = Memory::new();
         for (region, addr) in [(7, 0), (4, 8), (6, 16), (5, 24), (7, 32)] {
             m.accept(0, DynRegionId(region), addr, 1, true, &mut nvm);
@@ -358,7 +348,7 @@ mod tests {
 
     #[test]
     fn logged_drain_is_slower() {
-        let mut m = MemoryController::new(0, 4, 10, 10);
+        let mut m = MemoryController::new(4, 10, 10);
         let mut nvm = Memory::new();
         m.accept(0, DynRegionId(5), 0, 1, true, &mut nvm); // 20 cycles
         m.accept(0, DynRegionId(5), 8, 1, false, &mut nvm); // +10 (pipelined)

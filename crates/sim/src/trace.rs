@@ -1,20 +1,27 @@
-//! Bounded event tracing for the persist machinery.
+//! The persist-lineage event vocabulary and the bounded trace ring.
 //!
-//! Debugging crash-consistency issues requires seeing the interleaving of
-//! region lifecycle events, persist traffic, and stalls around the failure
-//! point. [`Trace`] is a fixed-capacity ring of [`Event`]s the machine can be
-//! asked to record; the newest events — the ones leading up to a crash — are
-//! always retained.
+//! [`Event`] is the one list of facts the machine reports about a store's
+//! road to durability (region open/retire, PB issue, WPQ arrival, NVM
+//! commit, write-buffer enqueue, checkpoint, sync commit, power failure)
+//! plus coalesced stall spans. The machine records each fact once, through
+//! one hook, and two consumers read it:
 //!
-//! Two consumers read the ring: [`Trace::post_mortem`] renders the greppable
-//! text tail (with an explicit truncation banner when the ring dropped
-//! events), and [`Trace::to_chrome`] converts the whole ring into Chrome
-//! trace-event JSON (cores and memory controllers as named tracks,
-//! region/stall lifetimes as complete spans) for `chrome://tracing` or
-//! Perfetto.
+//! * [`Trace`], a fixed-capacity ring of events the machine can be asked to
+//!   record; the newest events — the ones leading up to a crash — are
+//!   always retained. [`Trace::post_mortem`] renders the greppable text
+//!   tail (with an explicit truncation banner when the ring dropped
+//!   events), and [`Trace::to_chrome`] converts the whole ring into Chrome
+//!   trace-event JSON (cores and memory controllers as named tracks,
+//!   region/stall lifetimes as complete spans) for `chrome://tracing` or
+//!   Perfetto.
+//! * The crash-survivable flight journal (`cwsp_obs::flight`), which stores
+//!   [`Event::flight_record`] of every fact; stall spans have no journal
+//!   record.
 
 use cwsp_ir::types::{DynRegionId, Word};
+use cwsp_ir::FuncId;
 use cwsp_obs::chrome::ChromeTrace;
+use cwsp_obs::flight::{FlightKind, FlightRecord, REGION_NONE};
 use cwsp_obs::json::Value;
 use std::collections::VecDeque;
 use std::fmt;
@@ -58,7 +65,7 @@ impl fmt::Display for StallKind {
     }
 }
 
-/// One traced machine event.
+/// One persist-lineage fact (or stall span) reported by the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A dynamic region was opened on `core`.
@@ -73,22 +80,26 @@ pub enum Event {
         core: usize,
         region: DynRegionId,
     },
-    /// A store entered the persist buffer.
+    /// A store entered the persist buffer, issued by function `func`.
     PersistIssue {
         cycle: u64,
         core: usize,
+        func: Option<FuncId>,
         region: DynRegionId,
         addr: Word,
     },
-    /// A store reached a WPQ (and became persistent).
+    /// A store of `core` reached a WPQ (and became persistent); `logged`
+    /// when the MC appended an undo-log record for it (speculative region).
     PersistArrive {
         cycle: u64,
+        core: usize,
         mc: usize,
         region: DynRegionId,
         addr: Word,
+        logged: bool,
     },
-    /// An undo-log record was appended at an MC.
-    UndoLogged {
+    /// A WPQ slot drained to NVM media.
+    NvmCommit {
         cycle: u64,
         mc: usize,
         region: DynRegionId,
@@ -96,6 +107,22 @@ pub enum Event {
     },
     /// A dirty line entered the write buffer.
     WbEnqueue { cycle: u64, core: usize, line: Word },
+    /// A checkpoint store executed in function `func`, inside the open
+    /// `region` (none outside the RBT schemes).
+    Checkpoint {
+        cycle: u64,
+        core: usize,
+        func: Option<FuncId>,
+        region: Option<DynRegionId>,
+        addr: Word,
+    },
+    /// An atomic/fence committed after draining: the resume point advanced
+    /// past it, so stores of `region` issued before it never replay.
+    SyncCommit {
+        cycle: u64,
+        core: usize,
+        region: Option<DynRegionId>,
+    },
     /// A completed stall span: the core stalled for `cycles` consecutive
     /// cycles starting at `cycle`, while `region` (the oldest in-flight
     /// dynamic region, when one exists) was draining. Recorded when the
@@ -109,11 +136,6 @@ pub enum Event {
     },
     /// Power failed.
     PowerFailure { cycle: u64 },
-    /// Recovery began on the crash image (`reverted` undo-log records were
-    /// reversed in §VII step 1). `cycle` continues the crashed run's clock.
-    RecoveryStart { cycle: u64, reverted: u64 },
-    /// Recovery replayed `steps` instructions on `core` (§VII step 2).
-    RecoveryReplay { cycle: u64, core: usize, steps: u64 },
 }
 
 impl Event {
@@ -124,82 +146,150 @@ impl Event {
             | Event::RegionRetire { cycle, .. }
             | Event::PersistIssue { cycle, .. }
             | Event::PersistArrive { cycle, .. }
-            | Event::UndoLogged { cycle, .. }
+            | Event::NvmCommit { cycle, .. }
             | Event::WbEnqueue { cycle, .. }
+            | Event::Checkpoint { cycle, .. }
+            | Event::SyncCommit { cycle, .. }
             | Event::Stall { cycle, .. }
-            | Event::PowerFailure { cycle }
-            | Event::RecoveryStart { cycle, .. }
-            | Event::RecoveryReplay { cycle, .. } => *cycle,
+            | Event::PowerFailure { cycle } => *cycle,
         }
     }
+
+    /// The flight-journal record of this fact; `None` for a stall span,
+    /// which is timing, not persist lineage. The text and Chrome renderings
+    /// of a fact are drawn from this flat record too.
+    pub fn flight_record(&self) -> Option<FlightRecord> {
+        use FlightKind as K;
+        let at = |kind, core: usize, mc: usize, logged, func, region, addr| FlightRecord {
+            kind,
+            core: core as u8,
+            mc: mc as u8,
+            logged,
+            func: Option::map(func, |f: FuncId| f.0),
+            cycle: self.cycle(),
+            addr,
+            region: Option::map_or(region, REGION_NONE, |r: DynRegionId| r.0),
+        };
+        Some(match *self {
+            Event::RegionOpen { core, region, .. } => {
+                at(K::RegionOpen, core, 0, false, None, Some(region), 0)
+            }
+            Event::RegionRetire { core, region, .. } => {
+                at(K::RegionClose, core, 0, false, None, Some(region), 0)
+            }
+            Event::PersistIssue {
+                core,
+                func,
+                region,
+                addr,
+                ..
+            } => at(K::StoreIssue, core, 0, false, func, Some(region), addr),
+            Event::PersistArrive {
+                core,
+                mc,
+                region,
+                addr,
+                logged,
+                ..
+            } => at(K::WpqEnqueue, core, mc, logged, None, Some(region), addr),
+            Event::NvmCommit {
+                mc, region, addr, ..
+            } => at(K::NvmCommit, 0, mc, false, None, Some(region), addr),
+            Event::WbEnqueue { core, line, .. } => {
+                at(K::LineEvict, core, 0, false, None, None, line)
+            }
+            Event::Checkpoint {
+                core,
+                func,
+                region,
+                addr,
+                ..
+            } => at(K::Checkpoint, core, 0, false, func, region, addr),
+            Event::SyncCommit { core, region, .. } => {
+                at(K::SyncCommit, core, 0, false, None, region, 0)
+            }
+            Event::PowerFailure { .. } => at(K::PowerFail, 0, 0, false, None, None, 0),
+            Event::Stall { .. } => return None,
+        })
+    }
+}
+
+/// How a lineage fact renders, by journal kind: its text verb, its Chrome
+/// category and instant name, whether the record's `addr` is meaningful,
+/// and whether it happens at a memory controller (else at a core, or
+/// machine-wide for a power failure).
+fn style(kind: FlightKind) -> (&'static str, &'static str, &'static str, bool, bool) {
+    use FlightKind as K;
+    match kind {
+        K::RegionOpen => ("open  ", "region", "open", false, false),
+        K::RegionClose => ("retire", "region", "retire", false, false),
+        K::StoreIssue => ("issue ", "persist", "pb-issue", true, false),
+        K::WpqEnqueue => ("arrive", "persist", "wpq-arrive", true, true),
+        K::NvmCommit => ("commit", "persist", "nvm-commit", true, true),
+        K::LineEvict => ("wbenq ", "wb", "wb-enqueue", true, false),
+        K::Checkpoint => ("ckpt  ", "persist", "checkpoint", true, false),
+        K::SyncCommit => ("sync  ", "sync", "sync-commit", false, false),
+        _ => ("", "power", "POWER FAILURE", false, false),
+    }
+}
+
+/// The dynamic region a journal record names, if any.
+fn region_of(r: &FlightRecord) -> Option<DynRegionId> {
+    (r.region != REGION_NONE).then_some(DynRegionId(r.region))
 }
 
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Event::RegionOpen {
-                cycle,
-                core,
-                region,
-            } => {
-                write!(f, "[{cycle:>8}] core{core} open   {region}")
-            }
-            Event::RegionRetire {
-                cycle,
-                core,
-                region,
-            } => {
-                write!(f, "[{cycle:>8}] core{core} retire {region}")
-            }
-            Event::PersistIssue {
-                cycle,
-                core,
-                region,
-                addr,
-            } => {
-                write!(f, "[{cycle:>8}] core{core} issue  {region} @{addr:#x}")
-            }
-            Event::PersistArrive {
-                cycle,
-                mc,
-                region,
-                addr,
-            } => {
-                write!(f, "[{cycle:>8}] mc{mc}   arrive {region} @{addr:#x}")
-            }
-            Event::UndoLogged {
-                cycle,
-                mc,
-                region,
-                addr,
-            } => {
-                write!(f, "[{cycle:>8}] mc{mc}   undo   {region} @{addr:#x}")
-            }
-            Event::WbEnqueue { cycle, core, line } => {
-                write!(f, "[{cycle:>8}] core{core} wbenq  @{line:#x}")
-            }
+        write!(f, "[{:>8}] ", self.cycle())?;
+        let r = match *self {
             Event::Stall {
-                cycle,
                 core,
                 kind,
                 region,
                 cycles,
+                ..
             } => {
-                write!(f, "[{cycle:>8}] core{core} stall  ({kind})")?;
+                write!(f, "core{core} stall  ({kind})")?;
                 if let Some(r) = region {
                     write!(f, " {r}")?;
                 }
-                write!(f, " x{cycles}")
+                return write!(f, " x{cycles}");
             }
-            Event::PowerFailure { cycle } => write!(f, "[{cycle:>8}] POWER FAILURE"),
-            Event::RecoveryStart { cycle, reverted } => {
-                write!(f, "[{cycle:>8}] RECOVERY start ({reverted} reverted)")
-            }
-            Event::RecoveryReplay { cycle, core, steps } => {
-                write!(f, "[{cycle:>8}] core{core} replay {steps} steps")
-            }
+            Event::PowerFailure { .. } => return f.write_str("POWER FAILURE"),
+            _ => self.flight_record().expect("a lineage fact"),
+        };
+        let (verb, _, _, has_addr, at_mc) = style(r.kind);
+        let region = region_of(&r);
+        // Pad the verb into a column only when something follows it.
+        let verb = if region.is_some() || has_addr {
+            verb
+        } else {
+            verb.trim_end()
+        };
+        if at_mc {
+            write!(f, "mc{}   {verb}", r.mc)?;
+        } else {
+            write!(f, "core{} {verb}", r.core)?;
         }
+        if let Some(region) = region {
+            write!(f, " {region}")?;
+        }
+        if has_addr {
+            write!(f, " @{:#x}", r.addr)?;
+        }
+        if r.logged {
+            f.write_str(" +undo")?;
+        }
+        Ok(())
     }
+}
+
+/// Chrome-trace args naming `region`, when there is one.
+fn region_args(region: Option<DynRegionId>) -> Vec<(String, Value)> {
+    region
+        .map(|r| ("region".into(), Value::Str(r.to_string())))
+        .into_iter()
+        .collect()
 }
 
 /// A fixed-capacity ring of machine events (newest kept).
@@ -303,131 +393,80 @@ impl Trace {
         let first_cycle = self.events.front().map(|e| e.cycle()).unwrap_or(0);
         let last_cycle = self.events.iter().map(|e| e.cycle()).max().unwrap_or(0);
         // (core, region) -> open cycle, for pairing opens with retires.
-        let mut open: Vec<(usize, DynRegionId, u64)> = Vec::new();
+        let mut open: Vec<(u64, u64, u64)> = Vec::new();
         for e in self.events() {
-            match *e {
-                Event::RegionOpen {
+            if let Event::Stall {
+                cycle,
+                core,
+                kind,
+                region,
+                cycles,
+            } = *e
+            {
+                let name = format!("stall:{kind}");
+                t.complete(
+                    core as u64,
+                    "stall",
+                    &name,
                     cycle,
-                    core,
-                    region,
-                } => open.push((core, region, cycle)),
-                Event::RegionRetire {
-                    cycle,
-                    core,
-                    region,
-                } => {
+                    cycles,
+                    region_args(region),
+                );
+                continue;
+            }
+            let r = e.flight_record().expect("a lineage fact");
+            let (core, cycle) = (u64::from(r.core), r.cycle);
+            match r.kind {
+                FlightKind::RegionOpen => open.push((core, r.region, cycle)),
+                FlightKind::RegionClose => {
                     // A retire without a matched open was opened before the
                     // ring's window; start it at the window edge.
-                    let start = match open.iter().position(|&(c, r, _)| c == core && r == region) {
+                    let start = match open
+                        .iter()
+                        .position(|&(c, g, _)| (c, g) == (core, r.region))
+                    {
                         Some(i) => open.swap_remove(i).2,
                         None => first_cycle.min(cycle),
                     };
+                    let name = DynRegionId(r.region).to_string();
                     t.complete(
-                        core as u64,
+                        core,
                         "region",
-                        &region.to_string(),
+                        &name,
                         start,
                         cycle.saturating_sub(start),
                         vec![],
                     );
                 }
-                Event::PersistIssue {
-                    cycle,
-                    core,
-                    region,
-                    addr,
-                } => t.instant(
-                    core as u64,
-                    "persist",
-                    "pb-issue",
-                    cycle,
-                    vec![
-                        ("region".into(), Value::Str(region.to_string())),
-                        ("addr".into(), Value::Int(addr)),
-                    ],
-                ),
-                Event::PersistArrive {
-                    cycle,
-                    mc,
-                    region,
-                    addr,
-                } => t.instant(
-                    MC_TID + mc as u64,
-                    "persist",
-                    "wpq-arrive",
-                    cycle,
-                    vec![
-                        ("region".into(), Value::Str(region.to_string())),
-                        ("addr".into(), Value::Int(addr)),
-                    ],
-                ),
-                Event::UndoLogged {
-                    cycle,
-                    mc,
-                    region,
-                    addr,
-                } => t.instant(
-                    MC_TID + mc as u64,
-                    "log",
-                    "undo-append",
-                    cycle,
-                    vec![
-                        ("region".into(), Value::Str(region.to_string())),
-                        ("addr".into(), Value::Int(addr)),
-                    ],
-                ),
-                Event::WbEnqueue { cycle, core, line } => t.instant(
-                    core as u64,
-                    "wb",
-                    "wb-enqueue",
-                    cycle,
-                    vec![("line".into(), Value::Int(line))],
-                ),
-                Event::Stall {
-                    cycle,
-                    core,
-                    kind,
-                    region,
-                    cycles,
-                } => {
-                    let mut args = Vec::new();
-                    if let Some(r) = region {
-                        args.push(("region".into(), Value::Str(r.to_string())));
+                kind => {
+                    let (_, cat, name, has_addr, at_mc) = style(kind);
+                    let tid = match kind {
+                        _ if at_mc => MC_TID + u64::from(r.mc),
+                        FlightKind::PowerFail => 0,
+                        _ => core,
+                    };
+                    let args = if kind == FlightKind::LineEvict {
+                        vec![("line".into(), Value::Int(r.addr))]
+                    } else {
+                        let mut args = region_args(region_of(&r));
+                        if has_addr {
+                            args.push(("addr".into(), Value::Int(r.addr)));
+                        }
+                        args
+                    };
+                    if r.logged {
+                        t.instant(tid, "log", "undo-append", cycle, args.clone());
                     }
-                    t.complete(
-                        core as u64,
-                        "stall",
-                        &format!("stall:{kind}"),
-                        cycle,
-                        cycles,
-                        args,
-                    );
+                    t.instant(tid, cat, name, cycle, args);
                 }
-                Event::PowerFailure { cycle } => {
-                    t.instant(0, "power", "POWER FAILURE", cycle, vec![])
-                }
-                Event::RecoveryStart { cycle, reverted } => t.instant(
-                    0,
-                    "recovery",
-                    "recovery-start",
-                    cycle,
-                    vec![("reverted".into(), Value::Int(reverted))],
-                ),
-                Event::RecoveryReplay { cycle, core, steps } => t.instant(
-                    core as u64,
-                    "recovery",
-                    "recovery-replay",
-                    cycle,
-                    vec![("steps".into(), Value::Int(steps))],
-                ),
             }
         }
         // Regions still in flight at the end of the window: truncated spans.
         for (core, region, start) in open {
             t.complete(
-                core as u64,
+                core,
                 "region",
-                &region.to_string(),
+                &DynRegionId(region).to_string(),
                 start,
                 last_cycle.saturating_sub(start),
                 vec![("truncated".into(), Value::Bool(true))],
@@ -451,39 +490,6 @@ mod tests {
         assert_eq!(t.dropped(), 2);
         let cycles: Vec<u64> = t.events().map(|e| e.cycle()).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn display_formats_are_greppable() {
-        let e = Event::PersistArrive {
-            cycle: 42,
-            mc: 1,
-            region: DynRegionId(7),
-            addr: 0x1000,
-        };
-        let s = e.to_string();
-        assert!(
-            s.contains("mc1") && s.contains("dyn7") && s.contains("0x1000"),
-            "{s}"
-        );
-        let open = Event::RegionOpen {
-            cycle: 1,
-            core: 0,
-            region: DynRegionId(0),
-        };
-        assert!(open.to_string().contains("open"));
-        let stall = Event::Stall {
-            cycle: 9,
-            core: 2,
-            kind: StallKind::Pb,
-            region: Some(DynRegionId(3)),
-            cycles: 12,
-        };
-        let s = stall.to_string();
-        assert!(
-            s.contains("core2") && s.contains("(pb)") && s.contains("dyn3") && s.contains("x12"),
-            "{s}"
-        );
     }
 
     #[test]
@@ -610,14 +616,17 @@ mod tests {
         t.record(Event::PersistIssue {
             cycle: 12,
             core: 0,
+            func: None,
             region: DynRegionId(1),
             addr: 0x40,
         });
         t.record(Event::PersistArrive {
             cycle: 30,
+            core: 0,
             mc: 1,
             region: DynRegionId(1),
             addr: 0x40,
+            logged: false,
         });
         t.record(Event::Stall {
             cycle: 31,
@@ -659,5 +668,160 @@ mod tests {
         });
         let ct2 = t2.to_chrome(1, 1);
         assert_eq!(ct2.complete_spans_on(0), 1);
+    }
+
+    /// Every persist-lineage fact maps to exactly the journal record the
+    /// machine built for it by hand before the trace ring and the journal
+    /// shared one hook, renders as a greppable text line and exports to its
+    /// Chrome track; a stall span has no journal record.
+    #[test]
+    fn every_fact_maps_to_its_journal_record_text_and_track() {
+        let (cycle, core, mc, func, addr) = (77, 3, 2, Some(FuncId(5)), 0x40);
+        let region = DynRegionId(9);
+        let facts = [
+            Event::RegionOpen {
+                cycle,
+                core,
+                region,
+            },
+            Event::RegionRetire {
+                cycle,
+                core,
+                region,
+            },
+            Event::PersistIssue {
+                cycle,
+                core,
+                func,
+                region,
+                addr,
+            },
+            Event::PersistArrive {
+                cycle,
+                core,
+                mc,
+                region,
+                addr,
+                logged: true,
+            },
+            Event::NvmCommit {
+                cycle,
+                mc,
+                region,
+                addr,
+            },
+            Event::WbEnqueue {
+                cycle,
+                core,
+                line: addr,
+            },
+            Event::Checkpoint {
+                cycle,
+                core,
+                func,
+                region: Some(region),
+                addr,
+            },
+            Event::Checkpoint {
+                cycle,
+                core,
+                func: None,
+                region: None,
+                addr,
+            },
+            Event::SyncCommit {
+                cycle,
+                core,
+                region: Some(region),
+            },
+            Event::SyncCommit {
+                cycle,
+                core,
+                region: None,
+            },
+            Event::PowerFailure { cycle },
+        ];
+        use FlightKind as K;
+        let none = REGION_NONE;
+        // (kind, core, mc, logged, func, addr, region) and text per fact.
+        let want = [
+            (K::RegionOpen, 3, 0, false, None, 0, 9),
+            (K::RegionClose, 3, 0, false, None, 0, 9),
+            (K::StoreIssue, 3, 0, false, Some(5), 0x40, 9),
+            (K::WpqEnqueue, 3, 2, true, None, 0x40, 9),
+            (K::NvmCommit, 0, 2, false, None, 0x40, 9),
+            (K::LineEvict, 3, 0, false, None, 0x40, none),
+            (K::Checkpoint, 3, 0, false, Some(5), 0x40, 9),
+            (K::Checkpoint, 3, 0, false, None, 0x40, none),
+            (K::SyncCommit, 3, 0, false, None, 0, 9),
+            (K::SyncCommit, 3, 0, false, None, 0, none),
+            (K::PowerFail, 0, 0, false, None, 0, none),
+        ];
+        let text = [
+            "core3 open   dyn9",
+            "core3 retire dyn9",
+            "core3 issue  dyn9 @0x40",
+            "mc2   arrive dyn9 @0x40 +undo",
+            "mc2   commit dyn9 @0x40",
+            "core3 wbenq  @0x40",
+            "core3 ckpt   dyn9 @0x40",
+            "core3 ckpt   @0x40",
+            "core3 sync   dyn9",
+            "core3 sync",
+            "POWER FAILURE",
+        ];
+        assert_eq!(facts.len(), want.len());
+        for ((e, (kind, core, mc, logged, func, addr, region)), text) in
+            facts.iter().zip(want).zip(text)
+        {
+            let r = FlightRecord {
+                kind,
+                core,
+                mc,
+                logged,
+                func,
+                cycle: 77,
+                addr,
+                region,
+            };
+            assert_eq!(e.flight_record(), Some(r), "{e:?}");
+            assert_eq!(e.to_string(), format!("[      77] {text}"));
+        }
+        let stall = Event::Stall {
+            cycle: 9,
+            core: 2,
+            kind: StallKind::Pb,
+            region: Some(DynRegionId(3)),
+            cycles: 12,
+        };
+        assert_eq!(stall.flight_record(), None);
+        assert_eq!(stall.to_string(), "[       9] core2 stall  (pb) dyn3 x12");
+
+        let mut t = Trace::new(16);
+        for &e in &facts {
+            t.record(e);
+        }
+        // A logged arrival exports as an undo append, then the WPQ arrival.
+        let ct = t.to_chrome(4, 3);
+        let got: Vec<(u64, &str, usize)> = ct
+            .events()
+            .iter()
+            .filter(|e| e.ph != 'M')
+            .map(|e| (e.tid, e.name.as_str(), e.args.len()))
+            .collect();
+        let want = [
+            (3, "dyn9", 0),
+            (3, "pb-issue", 2),
+            (1002, "undo-append", 2),
+            (1002, "wpq-arrive", 2),
+            (1002, "nvm-commit", 2),
+            (3, "wb-enqueue", 1),
+            (3, "checkpoint", 2),
+            (3, "checkpoint", 1),
+            (3, "sync-commit", 1),
+            (3, "sync-commit", 0),
+            (0, "POWER FAILURE", 0),
+        ];
+        assert_eq!(got, want);
     }
 }

@@ -12,35 +12,37 @@ use cwsp_workloads::multicore;
 
 const DRAIN: u64 = 10;
 
-/// A full WPQ rejects arrivals until `tick` frees a drained slot; the NVM
-/// image is untouched by the rejected store.
+/// A full WPQ rejects arrivals until `tick` frees (and reports) a drained
+/// slot; the NVM image is untouched by the rejected store.
 #[test]
 fn full_wpq_backpressures_until_a_slot_drains() {
-    let mut mc = MemoryController::new(0, 2, DRAIN, 0);
+    let mut mc = MemoryController::new(2, DRAIN, 0);
     let mut nvm = Memory::new();
     let r = DynRegionId(1);
 
-    assert!(mc.accept(0, r, 0x1000, 1, false, &mut nvm));
-    assert!(mc.accept(0, r, 0x1008, 2, false, &mut nvm));
+    assert_eq!(mc.accept(0, r, 0x1000, 1, false, &mut nvm), Some(false));
+    assert_eq!(mc.accept(0, r, 0x1008, 2, false, &mut nvm), Some(false));
     assert_eq!(mc.wpq_occupancy(), 2);
     assert!(!mc.wpq_has_space());
 
     // Third arrival bounces: no slot, no NVM write, no occupancy change.
-    assert!(!mc.accept(0, r, 0x1010, 3, false, &mut nvm));
+    assert_eq!(mc.accept(0, r, 0x1010, 3, false, &mut nvm), None);
     assert_eq!(mc.wpq_occupancy(), 2);
     assert_eq!(nvm.load(0x1010), 0);
 
     // The media pipeline serializes drains: entry 0 frees at DRAIN, entry 1
     // at 2*DRAIN. Ticking before the first drain completes frees nothing.
-    mc.tick(DRAIN - 1);
+    assert_eq!(mc.tick(DRAIN - 1), None);
     assert!(!mc.wpq_has_space());
 
-    mc.tick(DRAIN);
+    assert_eq!(mc.tick(DRAIN), Some((0x1000, r)));
+    assert_eq!(mc.tick(DRAIN), None);
     assert_eq!(mc.wpq_occupancy(), 1);
-    assert!(mc.accept(DRAIN, r, 0x1010, 3, false, &mut nvm));
+    assert_eq!(mc.accept(DRAIN, r, 0x1010, 3, false, &mut nvm), Some(false));
     assert_eq!(nvm.load(0x1010), 3);
 
-    mc.tick(3 * DRAIN);
+    assert_eq!(mc.tick(3 * DRAIN), Some((0x1008, r)));
+    assert_eq!(mc.tick(3 * DRAIN), Some((0x1010, r)));
     assert_eq!(mc.wpq_occupancy(), 0);
     // Entries were persistent on acceptance (ADR domain), not at drain.
     assert_eq!(nvm.load(0x1000), 1);
@@ -51,17 +53,22 @@ fn full_wpq_backpressures_until_a_slot_drains() {
 /// its address until exactly its drain cycle.
 #[test]
 fn wpq_drains_fifo_and_delays_matching_loads() {
-    let mut mc = MemoryController::new(0, 4, DRAIN, 0);
+    let mut mc = MemoryController::new(4, DRAIN, 0);
     let mut nvm = Memory::new();
 
     for i in 0..4u64 {
-        assert!(mc.accept(0, DynRegionId(i), 0x2000 + i * 8, i, false, &mut nvm));
+        assert_eq!(
+            mc.accept(0, DynRegionId(i), 0x2000 + i * 8, i, false, &mut nvm),
+            Some(false)
+        );
     }
     // Serialized media: entry i drains at (i+1)*DRAIN, in arrival order.
     for i in 0..4u64 {
         assert_eq!(mc.wpq_hit(0x2000 + i * 8), Some((i + 1) * DRAIN));
     }
-    mc.tick(2 * DRAIN);
+    assert_eq!(mc.tick(2 * DRAIN), Some((0x2000, DynRegionId(0))));
+    assert_eq!(mc.tick(2 * DRAIN), Some((0x2008, DynRegionId(1))));
+    assert_eq!(mc.tick(2 * DRAIN), None);
     assert_eq!(mc.wpq_occupancy(), 2);
     assert_eq!(mc.wpq_hit(0x2000), None);
     assert_eq!(mc.wpq_hit(0x2008), None);
